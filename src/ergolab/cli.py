@@ -44,16 +44,40 @@ from .system import SchemaError, load_system, random_system, random_vector
 FLOAT_TOLERANCE = 1e-9  # entrywise slack in the optional floating mode
 
 
+def _cap_arg(text: str) -> int:
+    """argparse type of --cap: a nonnegative integer exponent."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return cap
+
+
 def _resolve_cap(flag_value) -> int:
     if flag_value is not None:
-        return int(flag_value)
+        return flag_value
     env = os.environ.get("ERGOLAB_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"ERGOLAB_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        return _cap_arg(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ERGOLAB_CAP {exc}") from exc
+
+
+def _load(path: str):
+    """The system stored at ``path``, or None after reporting why it is unusable."""
+    try:
+        return load_system(path)
+    except FileNotFoundError:
+        print(f"error: no such file: {path}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -121,13 +145,8 @@ def parse_n_grid(spec: str) -> list[int]:
 # --- validate ----------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    try:
-        system = load_system(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    system = _load(args.path)
+    if system is None:
         return 2
     doc = system.report.to_dict()
     doc["n"] = system.n
@@ -152,13 +171,12 @@ def _single_method(system, method: str, exhaustive: bool, cap: int):
 
 
 def cmd_check(args) -> int:
-    try:
-        system = load_system(args.path)
-        cap = _resolve_cap(args.cap)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
+    system = _load(args.path)
+    if system is None:
         return 2
-    except (SchemaError, ValueError) as exc:
+    try:
+        cap = _resolve_cap(args.cap)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not system.is_valid:
@@ -265,13 +283,8 @@ def _float_rows(system, f, grid, against):
 
 
 def cmd_converge(args) -> int:
-    try:
-        system = load_system(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    system = _load(args.path)
+    if system is None:
         return 2
     if not system.is_valid:
         print("error: system fails validation; convergence tables need a valid system",
@@ -361,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="all", choices=("all",) + CRITERIA)
     p.add_argument("--exhaustive", action="store_true",
                    help="discharge component quantifiers by literal scans (cap permitting)")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_cap_arg, default=None,
                    help=f"brute-force budget exponent (default {DEFAULT_CAP}, env ERGOLAB_CAP)")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_check)
@@ -384,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--systems", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap_arg, default=None)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_fuzz)
     return parser

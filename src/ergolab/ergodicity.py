@@ -2,11 +2,12 @@
 
 Every criterion is decided by a fast route that exploits the cycle structure
 of the validated atom map (invariant components are exactly unions of
-cycles), and where the criterion quantifies over components, also by an
-exhaustive route that discharges the quantifier literally under the
-brute-force cap.  On a valid system all verdicts must coincide; a
-disagreement would falsify one of the equivalences this library exists to
-exercise, so ``full_report`` surfaces it loudly rather than picking a winner.
+cycles), read from the system's cleared-integer structural view, and where
+the criterion quantifies over components, also by an exhaustive route that
+discharges the quantifier literally under the brute-force cap.  On a valid
+system all verdicts must coincide; a disagreement would falsify one of the
+equivalences this library exists to exercise, so ``full_report`` surfaces it
+loudly rather than picking a winner.
 """
 
 from __future__ import annotations
@@ -14,14 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import caps
 from .checks import vector_to_json
 from .riesz import Component, RieszVector, basis_vector, sup_norm, zero
 from .system import CepsSystem
 
-Witness = Union[RieszVector, tuple[RieszVector, RieszVector], None]
+# a PEP 604 union: typing.Union would keep every imported RieszVector class
+# alive in typing's cache across re-imports of the package
+Witness = "RieszVector | tuple[RieszVector, RieszVector] | None"
 Verdict = tuple[bool, "Witness"]
 
 CORRELATION_VARIANTS = (
@@ -132,8 +135,8 @@ def orbit_join(system: CepsSystem, p: Component) -> Component:
 # --- Mask scans ---------------------------------------------------------------
 #
 # Exhaustive scans enumerate bitmask components in lexicographic entry order
-# (atom 0 most significant), matching the oracle enumeration.  Denominators
-# are cleared once per system so per-component equality tests run in exact
+# (atom 0 most significant), matching the oracle enumeration.  They read the
+# system's cleared-integer view, so per-component equality tests run in exact
 # integer arithmetic; tests certify these against direct rational evaluation
 # on small atom counts.
 
@@ -143,124 +146,19 @@ def _lex_masks(n: int):
         yield int(format(k, f"0{n}b")[::-1], 2)
 
 
-class _ScanData:
-    """Denominator-cleared view of one valid system for the mask scans."""
-
-    __slots__ = ("n", "wts", "block_masks", "block_weight", "cycle_lcm", "cycle_of",
-                 "cycle_weight", "cycle_factor", "cycles_in_block", "preimage_masks")
-
-    def __init__(self, system: CepsSystem):
-        system.require_valid()
-        exp = system.expectation
-        n = system.n
-        den = 1
-        for w in exp.weights:
-            den = den * w.denominator // math.gcd(den, w.denominator)
-        wts = [int(w * den) for w in exp.weights]
-        cycles = system.cycles
-        lcm = 1
-        for c in cycles:
-            lcm = lcm * len(c) // math.gcd(lcm, len(c))
-        cycle_of = [0] * n
-        for ci, c in enumerate(cycles):
-            for i in c:
-                cycle_of[i] = ci
-        self.n = n
-        self.wts = wts
-        self.block_masks = [sum(1 << i for i in b) for b in exp.blocks]
-        self.block_weight = [sum(wts[i] for i in b) for b in exp.blocks]
-        self.cycle_lcm = lcm
-        self.cycle_of = tuple(cycle_of)
-        self.cycle_weight = [wts[c[0]] for c in cycles]
-        self.cycle_factor = [wts[c[0]] * (lcm // len(c)) for c in cycles]
-        block_of = exp.block_of
-        self.cycles_in_block = [[] for _ in exp.blocks]
-        for ci, c in enumerate(cycles):
-            self.cycles_in_block[block_of[c[0]]].append(ci)
-        pre = [0] * n
-        for i, j in enumerate(system.koopman.sigma):
-            pre[j] |= 1 << i
-        self.preimage_masks = pre
-
-    def image_mask(self, mask: int) -> int:
-        """Mask of the composition image: bit i set iff sigma(i) is in ``mask``."""
-        out = 0
-        m = mask
-        pre = self.preimage_masks
-        while m:
-            low = m & -m
-            out |= pre[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    def block_constant(self, mask: int) -> bool:
-        """Literal range-membership test: the mask meets each block in nothing or all."""
-        for bm in self.block_masks:
-            hit = mask & bm
-            if hit and hit != bm:
-                return False
-        return True
-
-    def average_is_zero(self, mask: int) -> bool:
-        """Evaluate whether the averaged indicator of ``mask`` is the zero vector.
-
-        The average on a block is the weighted count over the block weight;
-        all block numerators are computed and compared with zero.
-        """
-        wts = self.wts
-        for bm in self.block_masks:
-            m = mask & bm
-            num = 0
-            while m:
-                low = m & -m
-                num += wts[low.bit_length() - 1]
-                m ^= low
-            if num != 0:
-                return False
-        return True
-
-    def cycle_counts(self, mask: int) -> list[int]:
-        counts = [0] * len(self.cycle_weight)
-        m = mask
-        cycle_of = self.cycle_of
-        while m:
-            low = m & -m
-            counts[cycle_of[low.bit_length() - 1]] += 1
-            m ^= low
-        return counts
-
-    def correlation_pair_holds(self, counts_p: list[int], counts_q: list[int]) -> bool:
-        """Exact test: averaged-product limit equals the product of the averages.
-
-        Per block, both sides are cleared by the cycle lcm and the squared
-        block weight, leaving the integer identity
-
-            W_B * sum_C  w_C (lcm/len C) a_C b_C  ==  lcm * P_B(p) * P_B(q)
-
-        with P_B the weighted support count of the component in the block.
-        """
-        lcm = self.cycle_lcm
-        factor = self.cycle_factor
-        weight = self.cycle_weight
-        for bi, cyc_ids in enumerate(self.cycles_in_block):
-            lhs = 0
-            p_tot = 0
-            q_tot = 0
-            for ci in cyc_ids:
-                a = counts_p[ci]
-                b = counts_q[ci]
-                if a:
-                    p_tot += weight[ci] * a
-                    if b:
-                        lhs += factor[ci] * a * b
-                if b:
-                    q_tot += weight[ci] * b
-            if self.block_weight[bi] * lhs != lcm * p_tot * q_tot:
-                return False
-        return True
-
-
 # --- The decision procedures ---------------------------------------------------
+#
+# The fast routes evaluate each criterion's own operator identity in the
+# integers of ``system.view`` (weights over a common denominator), and only on
+# the block where the identity can be nonzero: every vector they test is
+# supported inside one block, and both sides of each identity vanish off the
+# blocks that support meets.  Candidates are walked in the same order as the
+# literal routes kept in the tests, so verdicts and lex-first witnesses match.
+
+
+def _cycle_indicator(view, ci: int) -> Component:
+    return Component.from_mask(view.n, view.cycle_masks[ci])
+
 
 def decide_definition(system: CepsSystem) -> Verdict:
     """Invariant vectors are fixed by the averaging operator.
@@ -270,10 +168,15 @@ def decide_definition(system: CepsSystem) -> Verdict:
     plus the component reduction carry the verdict to every invariant vector.
     """
     system.require_valid()
-    exp = system.expectation
-    for p in system.cycle_indicators():
-        if exp.apply(p) != p:
-            return False, p
+    view = system.view
+    for ci, c in enumerate(view.cycles):
+        b = view.block_of[c[0]]
+        # E(p) is num/den on p's block b; p is 1 on the cycle and 0 on the
+        # rest of b, and both vanish off b
+        num, den = view.cycle_mass[ci], view.block_weight[b]
+        off_cycle = view.block_masks[b] & ~view.cycle_masks[ci]
+        if num != den or (off_cycle and num != 0):
+            return False, _cycle_indicator(view, ci)
     return True, None
 
 
@@ -287,21 +190,20 @@ def decide_absorbing(system: CepsSystem, mode: str = "reduction",
     every component under the cap.
     """
     system.require_valid()
+    view = system.view
     if mode == "reduction":
-        exp = system.expectation
-        for p in system.cycle_indicators():
-            if not exp.in_range(p):
-                return False, p
+        for ci, p_mask in enumerate(view.cycle_masks):
+            if not view.block_constant(p_mask):
+                return False, _cycle_indicator(view, ci)
         return True, None
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     n = system.n
     caps.guard("exhaustive component scan", n, cap)
-    data = _ScanData(system)
     for p_mask in _lex_masks(n):
-        image = data.image_mask(p_mask)
+        image = view.image_mask(p_mask)
         outside = image & ~p_mask
-        if data.average_is_zero(outside) and not data.block_constant(p_mask):
+        if view.average_is_zero(outside) and not view.block_constant(p_mask):
             return False, Component.from_mask(n, p_mask)
     return True, None
 
@@ -315,27 +217,19 @@ def decide_sweep_out(system: CepsSystem, mode: str = "reduction",
     """
     system.require_valid()
     n = system.n
-    exp = system.expectation
+    view = system.view
     if mode == "reduction":
-        for i in range(n):
-            joined = orbit_join(system, basis_vector(n, i))
-            if not exp.in_range(joined):
-                return False, basis_vector(n, i)
+        # the atoms of one cycle share one forward orbit, and the least of them
+        # (the cycle's first atom) is the first the singleton scan reaches
+        for c in view.cycles:
+            if not view.block_constant(view.orbit_join(1 << c[0])):
+                return False, basis_vector(n, c[0])
         return True, None
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     caps.guard("exhaustive component scan", n, cap)
-    data = _ScanData(system)
     for p_mask in _lex_masks(n):
-        join = 0
-        cur = p_mask
-        while True:
-            cur = data.image_mask(cur)
-            grown = join | cur
-            if grown == join:
-                break
-            join = grown
-        if not data.block_constant(join):
+        if not view.block_constant(view.orbit_join(p_mask)):
             return False, Component.from_mask(n, p_mask)
     return True, None
 
@@ -344,11 +238,15 @@ def decide_time_average(system: CepsSystem) -> Verdict:
     """Time averages agree with the conditional averages on the basis."""
     system.require_valid()
     n = system.n
-    exp = system.expectation
+    view = system.view
+    wts = view.weights
     for i in range(n):
-        ei = basis_vector(n, i)
-        if birkhoff_limit(system, ei) != exp.apply(ei):
-            return False, ei
+        ci, b = view.cycle_of[i], view.block_of[i]
+        # on block b the time average of e_i is 1/|C| on i's cycle C and 0 on
+        # the rest of b, its average is w_i/W_b throughout; both vanish off b
+        off_cycle = view.block_masks[b] & ~view.cycle_masks[ci]
+        if view.block_weight[b] != len(view.cycles[ci]) * wts[i] or (off_cycle and wts[i] != 0):
+            return False, basis_vector(n, i)
     return True, None
 
 
@@ -372,11 +270,6 @@ def correlation_limit(system: CepsSystem, f: RieszVector, g: RieszVector) -> Rie
     return system.expectation.apply(f * birkhoff_limit(system, g))
 
 
-def _diagonal_gap_zero(system: CepsSystem, f: RieszVector) -> bool:
-    expected = system.expectation.apply(f)
-    return correlation_limit(system, f, f) == expected * expected
-
-
 def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = False,
                        cap: Optional[int] = None) -> Verdict:
     """Averaged products decouple in the limit: the criterion family.
@@ -386,64 +279,95 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
     basis plus all pairwise sums (polarization).  Component variants scan
     cycle indicators on the fast route -- any failure shows up on a cycle
     indicator -- and every component (pair) on the exhaustive route.
+
+    The fast routes evaluate the identity limit(f, g) = E(f) E(g) in the
+    integers of the system's structural view (both sides scaled by the cycle
+    lcm and the squared block weight), on the one block where it can be
+    nonzero.  Across blocks both sides are 0: the time average of a vector
+    stays on its own cycles, and averages of vectors on different blocks
+    have disjoint supports.  So pair routes pair i only with the atoms of
+    its own block, and the diagonal route, once every basis vector passes,
+    polarizes only same-block pairs: for e_i + e_j across blocks the gap is
+    the sum of the two singleton gaps.  ``full_report`` records the
+    bounded-pairs verdict under "corr-ideal-pairs" too (the two quantifiers
+    coincide in finite dimensions); asked for by name, "corr-ideal-pairs"
+    runs on its own.
     """
     system.require_valid()
     if variant not in CORRELATION_VARIANTS:
         raise ValueError(f"unknown correlation variant {variant!r}")
     n = system.n
-    exp = system.expectation
+    view = system.view
+    wts, lcm = view.weights, view.cycle_lcm
 
     if variant in ("corr-bounded-pairs", "corr-ideal-pairs"):
-        es = [basis_vector(n, i) for i in range(n)]
-        images = [exp.apply(ei) for ei in es]
         for i in range(n):
-            for j in range(n):
-                if correlation_limit(system, es[i], es[j]) != images[i] * images[j]:
-                    return False, (es[i], es[j])
+            b, ci = view.block_of[i], view.cycle_of[i]
+            # limit(e_i, e_j) is w_i / (|C_i| W_b) on b when j is on i's cycle
+            # C_i, else 0; E(e_i) E(e_j) is w_i w_j / W_b^2 on b
+            same_cycle = view.block_weight[b] * wts[i] * view.cycle_step[ci]
+            scale = lcm * wts[i]
+            for j in view.blocks[b]:  # for j off b both sides are 0
+                if (same_cycle if view.cycle_of[j] == ci else 0) != scale * wts[j]:
+                    return False, (basis_vector(n, i), basis_vector(n, j))
         return True, None
 
     if variant == "corr-diagonal":
         for i in range(n):
-            ei = basis_vector(n, i)
-            if not _diagonal_gap_zero(system, ei):
+            b, ci = view.block_of[i], view.cycle_of[i]
+            if view.block_weight[b] * wts[i] * view.cycle_step[ci] != lcm * wts[i] * wts[i]:
+                ei = basis_vector(n, i)
                 return False, (ei, ei)
+        # every basis vector passed, so cross-block sums pass: their gap is
+        # the sum of the two singleton gaps
         for i in range(n):
-            for j in range(i + 1, n):
-                f = basis_vector(n, i) + basis_vector(n, j)
-                if not _diagonal_gap_zero(system, f):
+            b, ci = view.block_of[i], view.cycle_of[i]
+            block = view.blocks[b]
+            bw = view.block_weight[b]
+            own = wts[i] * view.cycle_step[ci]
+            for j in block[block.index(i) + 1:]:
+                # f = e_i + e_j: limit(f, f) is mult (w_i/|C_i| + w_j/|C_j|) / W_b on
+                # b, mult = 2 when i and j share a cycle; E(f)^2 is (w_i + w_j)^2 / W_b^2
+                mult = 2 if view.cycle_of[j] == ci else 1
+                if bw * mult * (own + wts[j] * view.cycle_step[view.cycle_of[j]]) \
+                        != lcm * (wts[i] + wts[j]) ** 2:
+                    f = basis_vector(n, i) + basis_vector(n, j)
                     return False, (f, f)
         return True, None
 
     if variant == "corr-component-pairs":
         if not exhaustive:
-            indicators = system.cycle_indicators()
-            for p in indicators:
-                for q in indicators:
-                    if correlation_limit(system, p, q) != exp.apply(p) * exp.apply(q):
-                        return False, (p, q)
+            for ci, c in enumerate(view.cycles):
+                b = view.block_of[c[0]]
+                # limit(1_C, 1_D) = E(1_C 1_D) is m_C / W_b on b iff D = C, else 0;
+                # E(1_C) E(1_D) is m_C m_D / W_b^2 on b, with m the cycle mass
+                mass = view.cycle_mass[ci]
+                for di in view.cycles_in_block[b]:
+                    if (mass * view.block_weight[b] if di == ci else 0) != mass * view.cycle_mass[di]:
+                        return False, (_cycle_indicator(view, ci), _cycle_indicator(view, di))
             return True, None
         caps.guard("exhaustive component-pair scan", 2 * n, cap)
-        data = _ScanData(system)
         masks = list(_lex_masks(n))
-        counts = {m: data.cycle_counts(m) for m in masks}
+        counts = {m: view.cycle_counts(m) for m in masks}
         for pi, p_mask in enumerate(masks):
             cp = counts[p_mask]
             for q_mask in masks[pi:]:  # the cleared identity is symmetric in (p, q)
-                if not data.correlation_pair_holds(cp, counts[q_mask]):
+                if not view.correlation_pair_holds(cp, counts[q_mask]):
                     return False, (Component.from_mask(n, p_mask), Component.from_mask(n, q_mask))
         return True, None
 
     # corr-diagonal-components
     if not exhaustive:
-        for p in system.cycle_indicators():
-            if correlation_limit(system, p, p) != exp.apply(p) * exp.apply(p):
+        for ci, c in enumerate(view.cycles):
+            mass = view.cycle_mass[ci]
+            if mass * view.block_weight[view.block_of[c[0]]] != mass * mass:
+                p = _cycle_indicator(view, ci)
                 return False, (p, p)
         return True, None
     caps.guard("exhaustive component scan", n, cap)
-    data = _ScanData(system)
     for p_mask in _lex_masks(n):
-        cp = data.cycle_counts(p_mask)
-        if not data.correlation_pair_holds(cp, cp):
+        cp = view.cycle_counts(p_mask)
+        if not view.correlation_pair_holds(cp, cp):
             p = Component.from_mask(n, p_mask)
             return False, (p, p)
     return True, None
@@ -510,7 +434,12 @@ def full_report(system: CepsSystem, exhaustive: bool = False,
 
     Agreement across all criteria is the executable content of the
     equivalence theorems; ``exhaustive`` switches the component-quantified
-    criteria to their literal scans (cap permitting).
+    criteria to their literal scans (cap permitting).  The fast routes read
+    the system's structural view and evaluate each identity only within
+    blocks (see ``decide_correlation``).  The pair decider runs once: in
+    finite dimensions the ideal of the unit is the whole space, so its
+    verdict and witness are recorded under both "corr-bounded-pairs" and
+    "corr-ideal-pairs".
     """
     system.require_valid()
     mode = "exhaustive" if exhaustive else "reduction"
@@ -521,6 +450,10 @@ def full_report(system: CepsSystem, exhaustive: bool = False,
         "time-average": decide_time_average(system),
     }
     for variant in CORRELATION_VARIANTS:
+        if variant == "corr-ideal-pairs":
+            # the same quantifier as bounded pairs in finite dimensions: share its verdict
+            results[variant] = results["corr-bounded-pairs"]
+            continue
         use_exhaustive = exhaustive and variant in ("corr-component-pairs", "corr-diagonal-components")
         results[variant] = decide_correlation(system, variant, exhaustive=use_exhaustive, cap=cap)
     verdicts = {name: ok for name, (ok, _) in results.items()}

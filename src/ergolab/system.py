@@ -25,6 +25,7 @@ from .riesz import (
     is_component,
     unit,
 )
+from .structure import StructuralView
 
 
 class KoopmanMap:
@@ -165,7 +166,7 @@ class CepsSystem:
     procedures call ``require_valid`` and refuse flagged systems.
     """
 
-    __slots__ = ("_expectation", "_koopman", "_report", "_cycles")
+    __slots__ = ("_expectation", "_koopman", "_report", "_cycles", "_view")
 
     def __init__(self, expectation: ConditionalExpectation, koopman: KoopmanMap):
         report = validate_system(expectation, koopman)
@@ -174,6 +175,8 @@ class CepsSystem:
         object.__setattr__(self, "_report", report)
         cycles = koopman.cycles() if koopman.is_permutation() else None
         object.__setattr__(self, "_cycles", cycles)
+        view = StructuralView(expectation, koopman.sigma, cycles) if report.passed else None
+        object.__setattr__(self, "_view", view)
 
     @classmethod
     def from_parts(cls, weights: Sequence[Rational], partition: Iterable[Iterable[int]],
@@ -206,6 +209,12 @@ class CepsSystem:
     @property
     def cycles(self) -> Optional[tuple[tuple[int, ...], ...]]:
         return self._cycles
+
+    @property
+    def view(self) -> StructuralView:
+        """The cleared-integer structure the fast deciders read; valid systems only."""
+        self.require_valid()
+        return self._view
 
     @property
     def longest_cycle(self) -> int:
@@ -434,11 +443,18 @@ def system_to_dict(system: CepsSystem) -> dict:
 
 
 def load_system(path) -> CepsSystem:
+    """Read and parse a system file.
+
+    A file that cannot be read raises ``OSError`` or ``UnicodeDecodeError``;
+    text that does not parse (bad syntax, integers beyond the interpreter's
+    digit limit, nesting beyond its recursion limit) raises :class:`SchemaError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise SchemaError("$", f"not valid JSON: {exc}") from exc
     return system_from_dict(doc)
 
 

@@ -166,6 +166,111 @@ def test_cap_env_override(capsys, non_ergodic_path, monkeypatch):
     assert code == 2 and "ERGOLAB_CAP" in err
 
 
+# --- unusable input exits 2, never 1 ("not ergodic") ------------------------------
+
+def exit_code(capsys, *argv):
+    """Exit code of one in-process call, counting argparse's own exit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_check_negative_cap_flag_exits_2(capsys, ergodic_path):
+    code, err = exit_code(capsys, "check", ergodic_path, "--exhaustive", "--cap", "-1")
+    assert code == 2 and "--cap" in err
+
+
+def test_fuzz_negative_cap_flag_exits_2(capsys):
+    """A negative cap used to run the campaign and skip the oracle silently."""
+    code, err = exit_code(capsys, "fuzz", "--atoms", "3", "--systems", "2", "--cap", "-5")
+    assert code == 2 and "--cap" in err
+
+
+@pytest.mark.parametrize("command", ["check", "fuzz"])
+def test_negative_cap_env_exits_2(capsys, ergodic_path, monkeypatch, command):
+    monkeypatch.setenv("ERGOLAB_CAP", "-3")
+    argv = ((command, ergodic_path, "--exhaustive") if command == "check"
+            else (command, "--atoms", "3", "--systems", "2"))
+    code, err = exit_code(capsys, *argv)
+    assert code == 2 and "ERGOLAB_CAP" in err
+
+
+FILE_COMMANDS = {
+    "validate": (),
+    "check": (),
+    "converge": ("--vector", "basis:0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_directory_path_exits_2(capsys, tmp_path, command):
+    code, err = exit_code(capsys, command, str(tmp_path), *FILE_COMMANDS[command])
+    assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_non_utf8_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, err = exit_code(capsys, command, str(path), *FILE_COMMANDS[command])
+    assert code == 2 and "cannot read" in err
+
+
+def _unusable_file(kind, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    if kind == "missing":
+        return path
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"\xff\xfe{")
+    elif kind == "bad-json":
+        path.write_text("{nope")
+    elif kind == "huge-integer":  # beyond the interpreter's integer digit limit
+        path.write_text('{"n": ' + "1" * 5000 + "}")
+    elif kind == "deep-nesting":  # beyond the decoder's recursion limit
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    elif kind == "schema":
+        path.write_text(json.dumps({"n": 1, "weights": [1], "partition": [[0]], "sigma": [3]}))
+    return path
+
+
+UNUSABLE_FILES = ["missing", "directory", "non-utf8", "bad-json", "huge-integer",
+                  "deep-nesting", "schema"]
+
+
+@pytest.mark.parametrize("kind", UNUSABLE_FILES)
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_no_subcommand_exits_1_on_unusable_file(capsys, tmp_path, command, kind):
+    path = _unusable_file(kind, tmp_path)
+    code, err = exit_code(capsys, command, str(path), *FILE_COMMANDS[command])
+    assert code == 2 and err.startswith("error:"), (command, kind, err)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("check", "{system}", "--exhaustive", "--cap", "-1"), None),
+    (("check", "{system}", "--cap", "x"), None),
+    (("check", "{system}", "--exhaustive"), "-3"),
+    (("check", "{system}"), "x"),
+    (("check", "{system}", "--method", "nonsense"), None),
+    (("converge", "{system}", "--vector", "basis:7"), None),
+    (("converge", "{system}", "--vector", "basis:0", "--n-grid", "geometric:0:4"), None),
+    (("fuzz", "--atoms", "3", "--systems", "2", "--cap", "-5"), None),
+    (("fuzz", "--atoms", "3", "--systems", "2"), "-3"),
+    (("fuzz", "--atoms", "0", "--systems", "2"), None),
+    (("fuzz", "--atoms", "3"), None),
+])
+def test_no_subcommand_exits_1_on_unusable_arguments(capsys, ergodic_path, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("ERGOLAB_CAP", raising=False)
+    else:
+        monkeypatch.setenv("ERGOLAB_CAP", env)
+    code, err = exit_code(capsys, *(a.format(system=ergodic_path) for a in argv))
+    assert code == 2 and "error" in err
+
+
 # --- converge ----------------------------------------------------------------------
 
 def test_converge_identity_map_has_zero_errors(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Cesàro machinery, the decision procedures, correlations, and norm preservation."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -429,3 +430,23 @@ def test_full_report_exhaustive_matches_fast():
         n = seed % 7 + 1
         system = E.random_system(n, seed % min(4, n) + 1, seed)
         assert E.full_report(system).verdicts == E.full_report(system, exhaustive=True).verdicts
+
+
+def test_scaling_guard_one_cycle_on_256_atoms():
+    """Construction, validation and every fast route on the ergodic 256-cycle.
+
+    The per-pair rational-vector loops took minutes on this system, so the
+    2 s bound catches any return of them.  The within-block integer
+    identities take milliseconds; most of the time left is the dense
+    basis-law loop of validation.
+    """
+    n = 256
+    start = time.perf_counter()
+    system = E.CepsSystem.from_parts([F(1, n)] * n, [list(range(n))],
+                                     [(i + 1) % n for i in range(n)])
+    report = E.full_report(system)
+    elapsed = time.perf_counter() - start
+    assert system.is_valid
+    assert report.agreement and set(report.verdicts) == set(E.CRITERIA)
+    assert all(report.verdicts.values())
+    assert elapsed < 2.0, f"n=256 construction and full report took {elapsed:.2f}s"

@@ -1,5 +1,6 @@
 """Brute-force reference implementations and their agreement with the fast routes."""
 
+import inspect
 from fractions import Fraction
 from itertools import product
 
@@ -92,3 +93,13 @@ def test_oracle_birkhoff_within_derived_bound(pair):
     limit = E.birkhoff_limit(system, f)
     assert E.sup_norm(value - limit) <= E.cesaro_error_bound(system, f, n_max)
     assert gap == E.sup_norm(value - E.cesaro_mean(system, f, n_max // 2))
+
+
+def test_oracle_reads_no_structural_view():
+    """The oracle works from the raw operators, never from the deciders' shared view."""
+    import ergolab.oracle as oracle
+
+    imports = [line for line in inspect.getsource(oracle).splitlines()
+               if line.startswith(("import ", "from "))]
+    assert imports and not any("structure" in line for line in imports)
+    assert ".view" not in inspect.getsource(oracle)
