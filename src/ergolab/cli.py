@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -367,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check all system laws on a JSON system file")
     p.add_argument("path")
     p.add_argument("--pretty", action="store_true", help="render rationals as decimals")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check", help="decide ergodicity by one or all criteria")
     p.add_argument("path")
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_cap_arg, default=None,
                    help=f"brute-force budget exponent (default {DEFAULT_CAP}, env ERGOLAB_CAP)")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("converge", help="table of Cesàro convergence against the exact limit")
     p.add_argument("path")
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float", action="store_true",
                    help=f"floating mode for large n (tolerance {FLOAT_TOLERANCE})")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("fuzz", help="campaign over random valid systems asserting agreement")
     p.add_argument("--atoms", type=int, required=True)
@@ -399,13 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=_cap_arg, default=None)
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_fuzz)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up by name on each call, so a rebinding of cmd_<command> takes effect
+    return globals()[f"cmd_{args.command}"](args)
 
 
 def entrypoint() -> None:

@@ -4,22 +4,34 @@ The operator is determined by a partition of the atoms into blocks and a
 strictly positive probability weight per atom: it replaces a vector on each
 block by that block's weighted mean.  Its range is exactly the block-constant
 vectors, and the q-norms it induces are returned as exact q-th powers so that
-everything stays rational.
+everything stays rational.  The weights are also kept cleared to integers,
+each times their least common denominator, so that blockwise identities can
+be evaluated in integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .checks import Check, CheckReport
-from .riesz import Component, DimensionMismatch, Rational, RieszVector, rational, unit
+from .riesz import (
+    ZERO,
+    Component,
+    DimensionMismatch,
+    Rational,
+    RieszVector,
+    _wrap,
+    rational,
+    unit,
+)
 
 
 class ConditionalExpectation:
     """Blockwise weighted averaging operator; immutable after construction."""
 
-    __slots__ = ("_weights", "_blocks", "_block_of", "_block_mass")
+    __slots__ = ("_weights", "_blocks", "_block_of", "_block_mass", "_cleared_weights")
 
     def __init__(self, weights: Sequence[Rational], partition: Iterable[Iterable[int]]):
         w = tuple(rational(x) for x in weights)
@@ -51,10 +63,13 @@ class ConditionalExpectation:
             for i in b:
                 block_of[i] = bi
         mass = tuple(sum((w[i] for i in b), Fraction(0)) for b in blocks)
+        den = math.lcm(*(x.denominator for x in w))
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_blocks", blocks)
         object.__setattr__(self, "_block_of", tuple(block_of))
         object.__setattr__(self, "_block_mass", mass)
+        object.__setattr__(self, "_cleared_weights",
+                           tuple(x.numerator * (den // x.denominator) for x in w))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConditionalExpectation is immutable")
@@ -66,6 +81,11 @@ class ConditionalExpectation:
     @property
     def weights(self) -> tuple[Fraction, ...]:
         return self._weights
+
+    @property
+    def cleared_weights(self) -> tuple[int, ...]:
+        """The weights times their least common denominator: positive integers, same ratios."""
+        return self._cleared_weights
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -107,7 +127,7 @@ class ConditionalExpectation:
             v = s / self._block_mass[bi]
             for i in b:
                 out[i] = v
-        return RieszVector(out)
+        return _wrap(RieszVector, tuple(out))
 
     def in_range(self, f: RieszVector) -> bool:
         """Membership in the operator's range: constancy on every block."""
@@ -140,12 +160,12 @@ class ConditionalExpectation:
         """Least block-constant vector dominating |x| (the sup-norm profile)."""
         self._check_dim(x)
         e = x.entries
-        out = [Fraction(0)] * self.n
+        out = [ZERO] * self.n
         for b in self._blocks:
             v = max(abs(e[i]) for i in b)
             for i in b:
                 out[i] = v
-        return RieszVector(out)
+        return _wrap(RieszVector, tuple(out))
 
 
 def verify_axioms(op: ConditionalExpectation) -> CheckReport:

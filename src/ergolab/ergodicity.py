@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import caps
 from .checks import vector_to_json
-from .riesz import Component, RieszVector, basis_vector, sup_norm, zero
+from .riesz import Component, DimensionMismatch, RieszVector, basis_vector, sup_norm, zero
 from .system import CepsSystem
 
 # a PEP 604 union: typing.Union would keep every imported RieszVector class
@@ -378,17 +378,44 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
 def check_isometry(system: CepsSystem, x: RieszVector, q) -> bool:
     """Composition preserves the range-valued q-norms, q a positive integer or inf.
 
-    Finite q compares the exact q-th powers of the norms; q = inf compares
-    the blockwise sup profiles.  Runs on unvalidated systems too, where it is
-    allowed to fail (that failure is what proves the check has teeth).
+    Finite q decides E(|Sx|^q) == E(|x|^q), the equality of the exact q-th
+    powers of the two norms, in integers.  On a block B both sides are the
+    weighted sums sum_{i in B} w_i |x_sigma(i)|^q and sum_{i in B} w_i |x_i|^q
+    over the same block mass, so they agree iff those sums do; multiplying
+    both by the weights' common denominator and by D^q, D the least common
+    denominator of x's entries, leaves the integer identity
+
+        sum_{i in B} W_i |X_sigma(i)|^q  ==  sum_{i in B} W_i |X_i|^q
+
+    with W the cleared weights and X = D x.  q = inf compares, per block, the
+    maxima of |X_sigma(i)| and |X_i| directly: they are D times the values
+    the two sup profiles hold there.  Reads the operators, not the structural
+    view, so it runs on unvalidated systems too, where it is allowed to fail
+    (that failure is what proves the check has teeth).
     """
     exp = system.expectation
-    moved = system.koopman.apply(x)
+    sigma = system.koopman.sigma
+    if len(x) != len(sigma):
+        raise DimensionMismatch(f"map on {len(sigma)} atoms applied to a {len(x)}-atom vector")
+    e = x.entries
+    den = math.lcm(*[v.denominator for v in e])
+    cleared = [abs(v.numerator) * (den // v.denominator) for v in e]
     if q == math.inf:
-        return exp.norm_inf(moved) == exp.norm_inf(x)
+        return all(max([cleared[sigma[i]] for i in b]) == max([cleared[i] for i in b])
+                   for b in exp.blocks)
     if not isinstance(q, int) or q < 1:
         raise ValueError("q must be a positive integer or math.inf")
-    return exp.norm_power(moved, q) == exp.norm_power(x, q)
+    powers = [c ** q for c in cleared]
+    w = exp.cleared_weights
+    for b in exp.blocks:
+        moved = 0
+        kept = 0
+        for i in b:
+            moved += w[i] * powers[sigma[i]]
+            kept += w[i] * powers[i]
+        if moved != kept:
+            return False
+    return True
 
 
 # --- The aggregate report ---------------------------------------------------------

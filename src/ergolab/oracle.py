@@ -9,19 +9,21 @@ deciders is evidence and not circularity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Optional
 
 from .caps import guard
-from .riesz import Component, RieszVector, sup_norm
+from .riesz import ONE, ZERO, Component, RieszVector, _wrap, sup_norm
 from .system import CepsSystem
 
 
 def enumerate_components(n: int, cap: Optional[int] = None) -> Iterator[Component]:
-    """All 2**n components on n atoms in lexicographic entry order."""
+    """All 2**n components on n atoms in lexicographic entry order (atom 0 most significant)."""
+    if n < 1:
+        raise ValueError("a vector needs at least one atom")
     guard("component enumeration", n, cap)
-    for k in range(1 << n):
-        bits = format(k, f"0{n}b")
-        yield Component([int(c) for c in bits])
+    for entries in product((ZERO, ONE), repeat=n):
+        yield _wrap(Component, entries)
 
 
 def oracle_ergodic(system: CepsSystem, cap: Optional[int] = None) -> bool:

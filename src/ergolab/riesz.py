@@ -4,6 +4,13 @@ Vectors live on a fixed set of ``n`` atoms with entrywise order, so suprema,
 infima and band projections are all coordinatewise and exactly computable.
 All arithmetic is done in ``fractions.Fraction``; floats are rejected at the
 door so that no law check is ever confounded by rounding.
+
+Coercion happens once, at the door: the public ``RieszVector`` and
+``Component`` constructors turn every entry into a ``Fraction`` and refuse
+anything inexact.  Results the kernel computes itself from such entries are
+``Fraction`` tuples already (and 0/1 ones where a ``Component`` is returned),
+so they go through the trusted ``_wrap`` instead, which stores the tuple as
+it is.
 """
 
 from __future__ import annotations
@@ -12,6 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, str, Fraction]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -80,16 +90,16 @@ class RieszVector:
         if not isinstance(other, RieszVector):
             return NotImplemented
         self._same_dim(other)
-        return RieszVector(a + b for a, b in zip(self._entries, other._entries))
+        return _wrap(RieszVector, tuple([a + b for a, b in zip(self._entries, other._entries)]))
 
     def __sub__(self, other: "RieszVector") -> "RieszVector":
         if not isinstance(other, RieszVector):
             return NotImplemented
         self._same_dim(other)
-        return RieszVector(a - b for a, b in zip(self._entries, other._entries))
+        return _wrap(RieszVector, tuple([a - b for a, b in zip(self._entries, other._entries)]))
 
     def __neg__(self) -> "RieszVector":
-        return RieszVector(-a for a in self._entries)
+        return _wrap(RieszVector, tuple([-a for a in self._entries]))
 
     def __mul__(self, other):
         """Entrywise product with a vector, or scaling by a rational.
@@ -99,15 +109,15 @@ class RieszVector:
         """
         if isinstance(other, RieszVector):
             self._same_dim(other)
-            prod = tuple(a * b for a, b in zip(self._entries, other._entries))
+            prod = tuple([a * b for a, b in zip(self._entries, other._entries)])
             if isinstance(self, Component) and isinstance(other, Component):
-                return Component(prod)
-            return RieszVector(prod)
+                return _wrap(Component, prod)
+            return _wrap(RieszVector, prod)
         try:
             c = rational(other)
         except TypeError:
             return NotImplemented
-        return RieszVector(a * c for a in self._entries)
+        return _wrap(RieszVector, tuple([a * c for a in self._entries]))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -116,38 +126,38 @@ class RieszVector:
         c = rational(other)
         if c == 0:
             raise ZeroDivisionError("division of a vector by zero")
-        return RieszVector(a / c for a in self._entries)
+        return _wrap(RieszVector, tuple([a / c for a in self._entries]))
 
     def sup(self, other: "RieszVector") -> "RieszVector":
         """Entrywise maximum (the lattice join)."""
         self._same_dim(other)
-        out = tuple(a if a >= b else b for a, b in zip(self._entries, other._entries))
+        out = tuple([a if a >= b else b for a, b in zip(self._entries, other._entries)])
         if isinstance(self, Component) and isinstance(other, Component):
-            return Component(out)
-        return RieszVector(out)
+            return _wrap(Component, out)
+        return _wrap(RieszVector, out)
 
     def inf(self, other: "RieszVector") -> "RieszVector":
         """Entrywise minimum (the lattice meet)."""
         self._same_dim(other)
-        out = tuple(a if a <= b else b for a, b in zip(self._entries, other._entries))
+        out = tuple([a if a <= b else b for a, b in zip(self._entries, other._entries)])
         if isinstance(self, Component) and isinstance(other, Component):
-            return Component(out)
-        return RieszVector(out)
+            return _wrap(Component, out)
+        return _wrap(RieszVector, out)
 
     def pos_part(self) -> "RieszVector":
-        return RieszVector(a if a > 0 else Fraction(0) for a in self._entries)
+        return _wrap(RieszVector, tuple([a if a > 0 else ZERO for a in self._entries]))
 
     def neg_part(self) -> "RieszVector":
-        return RieszVector(-a if a < 0 else Fraction(0) for a in self._entries)
+        return _wrap(RieszVector, tuple([-a if a < 0 else ZERO for a in self._entries]))
 
     def __abs__(self) -> "RieszVector":
-        return RieszVector(abs(a) for a in self._entries)
+        return _wrap(RieszVector, tuple([abs(a) for a in self._entries]))
 
     def power(self, q: int) -> "RieszVector":
         """Entrywise q-th power, q a positive integer."""
         if not isinstance(q, int) or q < 1:
             raise ValueError("exponent must be a positive integer")
-        return RieszVector(a ** q for a in self._entries)
+        return _wrap(RieszVector, tuple([a ** q for a in self._entries]))
 
     def leq(self, other: "RieszVector") -> bool:
         """Entrywise order comparison self <= other."""
@@ -156,6 +166,27 @@ class RieszVector:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self._entries)
+
+
+_new = object.__new__
+_set_entries = RieszVector._entries.__set__  # the slot itself, past the immutability guard
+
+
+def _wrap(cls: type, entries: tuple) -> RieszVector:
+    """Trusted constructor: a ``cls`` holding ``entries`` as given, no coercion or checks.
+
+    Only for tuples the kernel computed itself: nonempty, every entry a
+    ``Fraction``, and every entry 0 or 1 when ``cls`` is ``Component``.
+    """
+    v = _new(cls)
+    _set_entries(v, entries)
+    return v
+
+
+def _atoms(n: int) -> int:
+    if n < 1:
+        raise ValueError("a vector needs at least one atom")
+    return n
 
 
 def lattice_sup(f: RieszVector, g: RieszVector) -> RieszVector:
@@ -183,11 +214,11 @@ def e_multiply(f: RieszVector, g: RieszVector) -> RieszVector:
 
 def unit(n: int) -> "Component":
     """The weak order unit: the all-ones vector on n atoms."""
-    return Component([1] * n)
+    return _wrap(Component, (ONE,) * _atoms(n))
 
 
 def zero(n: int) -> "Component":
-    return Component([0] * n)
+    return _wrap(Component, (ZERO,) * _atoms(n))
 
 
 def basis_vector(n: int, i: int) -> "Component":
@@ -220,19 +251,19 @@ class Component(RieszVector):
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "Component":
         idx = set(indices)
-        return cls([1 if i in idx else 0 for i in range(n)])
+        return _wrap(cls, tuple([ONE if i in idx else ZERO for i in range(_atoms(n))]))
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Component":
         """Bit i of ``mask`` is the entry at atom i."""
-        return cls([(mask >> i) & 1 for i in range(n)])
+        return _wrap(cls, tuple([ONE if (mask >> i) & 1 else ZERO for i in range(_atoms(n))]))
 
     @classmethod
     def from_bits(cls, bits: str) -> "Component":
         """Build from a bitstring written atom 0 first, e.g. '0110'."""
         if not bits or any(c not in "01" for c in bits):
             raise ValueError(f"bitstring must be nonempty over {{0,1}}, got {bits!r}")
-        return cls([int(c) for c in bits])
+        return _wrap(cls, tuple([ONE if c == "1" else ZERO for c in bits]))
 
     @property
     def mask(self) -> int:
@@ -247,7 +278,7 @@ class Component(RieszVector):
         return tuple(i for i, a in enumerate(self.entries) if a)
 
     def complement(self) -> "Component":
-        return Component([1 - a for a in self.entries])
+        return _wrap(Component, tuple([ONE - a for a in self._entries]))
 
 
 def band_projection_component(f: RieszVector, alpha: Rational) -> Component:
@@ -258,7 +289,7 @@ def band_projection_component(f: RieszVector, alpha: Rational) -> Component:
     at the level contribute no positive part).
     """
     a = rational(alpha)
-    return Component([1 if x < a else 0 for x in f.entries])
+    return _wrap(Component, tuple([ONE if x < a else ZERO for x in f.entries]))
 
 
 class StepFunction:
@@ -303,11 +334,11 @@ class StepFunction:
         return len(self._components[0])
 
     def to_vector(self) -> RieszVector:
-        acc = [Fraction(0)] * len(self)
+        acc = [ZERO] * len(self)
         for c, p in zip(self._coefficients, self._components):
             for i in p.support:
                 acc[i] += c
-        return RieszVector(acc)
+        return _wrap(RieszVector, tuple(acc))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{c}*{p.support}" for c, p in zip(self._coefficients, self._components))

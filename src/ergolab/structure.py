@@ -34,10 +34,7 @@ class StructuralView:
     def __init__(self, expectation: "ConditionalExpectation", sigma: tuple[int, ...],
                  cycles: tuple[tuple[int, ...], ...]):
         n = expectation.n
-        den = 1
-        for w in expectation.weights:
-            den = den * w.denominator // math.gcd(den, w.denominator)
-        wts = tuple(w.numerator * (den // w.denominator) for w in expectation.weights)
+        wts = expectation.cleared_weights
         blocks = expectation.blocks
         block_of = expectation.block_of
         cycle_of = [0] * n

@@ -22,6 +22,7 @@ from .riesz import (
     DimensionMismatch,
     Rational,
     RieszVector,
+    _wrap,
     is_component,
     unit,
 )
@@ -68,11 +69,9 @@ class KoopmanMap:
     def apply(self, f: RieszVector) -> RieszVector:
         if len(f) != self.n:
             raise DimensionMismatch(f"map on {self.n} atoms applied to a {len(f)}-atom vector")
-        e = f.entries
-        pulled = tuple(e[j] for j in self._sigma)
-        if isinstance(f, Component):
-            return Component(pulled)  # composition sends 0/1 vectors to 0/1 vectors
-        return RieszVector(pulled)
+        pulled = tuple(map(f.entries.__getitem__, self._sigma))
+        # composition sends 0/1 vectors to 0/1 vectors
+        return _wrap(Component if isinstance(f, Component) else RieszVector, pulled)
 
     def is_permutation(self) -> bool:
         return len(set(self._sigma)) == self.n

@@ -1,9 +1,11 @@
 """Batch tool: exit codes, schemas, determinism, and output contracts."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -416,7 +418,11 @@ def test_pretty_renders_decimals(capsys, non_ergodic_path):
 def test_module_invocation_round_trip(tmp_path):
     path = tmp_path / "sys.json"
     E.save_system(E.CepsSystem.from_parts([F(1, 3)] * 3, [[0, 1, 2]], [1, 2, 0]), path)
+    # the child imports the same ergolab as this test, whatever sys.path pytest was given
+    package_root = str(Path(E.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "ergolab", "check", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ergodic"] is True

@@ -85,6 +85,20 @@ def test_apply_matches_oracle(pair):
     assert op.apply(f) == blockwise_mean_oracle(op.weights, op.blocks, f.entries)
 
 
+def test_cleared_weights_are_the_weights_over_their_common_denominator():
+    op = E.ConditionalExpectation([F(1, 6), F(1, 4), F(7, 12)], [[0, 1], [2]])
+    assert op.cleared_weights == (2, 3, 7)
+
+
+@given(systems())
+def test_cleared_weights_keep_the_ratios(system):
+    op = system.expectation
+    ws, cs = op.weights, op.cleared_weights
+    assert all(type(c) is int and c > 0 for c in cs)
+    assert all(c * ws[0] == cs[0] * w for c, w in zip(cs, ws))
+    assert system.view.weights == cs
+
+
 def test_dimension_mismatch():
     op = E.ConditionalExpectation([F(1, 2), F(1, 2)], [[0, 1]])
     with pytest.raises(E.DimensionMismatch):
