@@ -21,6 +21,7 @@ from .ergodicity import (
     birkhoff_limit,
     cesaro_error_bound,
     cesaro_mean,
+    cesaro_sweep,
     cesaro_trace,
     check_isometry,
     correlation_limit,
@@ -41,13 +42,8 @@ from .riesz import (
     StepFunction,
     band_projection_component,
     basis_vector,
-    e_multiply,
     freudenthal_approx,
     is_component,
-    lattice_inf,
-    lattice_sup,
-    neg_part,
-    pos_part,
     rational,
     sup_norm,
     unit,

@@ -25,17 +25,14 @@ from .caps import DEFAULT_CAP, CapExceededError
 from .checks import fraction_to_json
 from .ergodicity import (
     CRITERIA,
+    DECIDERS,
     ErgodicityReport,
     birkhoff_limit,
     cesaro_error_bound,
+    cesaro_sweep,
     cesaro_trace,
     check_isometry,
     correlation_limit,
-    decide_absorbing,
-    decide_correlation,
-    decide_definition,
-    decide_sweep_out,
-    decide_time_average,
     full_report,
 )
 from .oracle import oracle_ergodic
@@ -158,19 +155,6 @@ def cmd_validate(args) -> int:
 
 # --- check -------------------------------------------------------------------
 
-def _single_method(system, method: str, exhaustive: bool, cap: int):
-    mode = "exhaustive" if exhaustive else "reduction"
-    if method == "definition":
-        return decide_definition(system)
-    if method == "absorbing":
-        return decide_absorbing(system, mode=mode, cap=cap)
-    if method == "sweep-out":
-        return decide_sweep_out(system, mode=mode, cap=cap)
-    if method == "time-average":
-        return decide_time_average(system)
-    return decide_correlation(system, method, exhaustive=exhaustive, cap=cap)
-
-
 def cmd_check(args) -> int:
     system = _load(args.path)
     if system is None:
@@ -189,7 +173,7 @@ def cmd_check(args) -> int:
         if args.method == "all":
             report = full_report(system, exhaustive=args.exhaustive, cap=cap)
         else:
-            ok, witness = _single_method(system, args.method, args.exhaustive, cap)
+            ok, witness = DECIDERS[args.method](system, args.exhaustive, cap)
             report = ErgodicityReport(
                 {args.method: ok},
                 {} if witness is None else {args.method: witness},
@@ -218,21 +202,11 @@ def _exact_rows(system, f, grid, against):
             bound = cesaro_error_bound(system, f, n)
             rows.append((n, err, bound, err <= bound))
     else:
+        # the n-th correlation mean is E(f · mean_n against), by linearity
         limit = correlation_limit(system, f, against)
-        exp, koop = system.expectation, system.koopman
         scale = Fraction(2 * system.longest_cycle) * sup_norm(f) * sup_norm(against)
-        acc = [Fraction(0)] * system.n
-        cur = against
-        k = 0
-        for n in sorted(set(grid)):
-            while k < n:
-                term = exp.apply(f * cur)
-                for i, x in enumerate(term.entries):
-                    acc[i] += x
-                cur = koop.apply(cur)
-                k += 1
-            mean = RieszVector(x / n for x in acc)
-            err = sup_norm(mean - limit)
+        for n, mean in cesaro_trace(system, against, grid).values:
+            err = sup_norm(system.expectation.apply(f * mean) - limit)
             bound = scale / n
             rows.append((n, err, bound, err <= bound))
     return rows
@@ -240,44 +214,26 @@ def _exact_rows(system, f, grid, against):
 
 def _float_rows(system, f, grid, against):
     """Floating fallback for large-n tables; comparisons carry a 1e-9 slack."""
-    sigma = system.koopman.sigma
-    n_atoms = system.n
-    lmax = system.longest_cycle
     if against is None:
-        limit = [float(x) for x in birkhoff_limit(system, f).entries]
-        scale = 2.0 * lmax * float(sup_norm(f))
-        cur = [float(x) for x in f.entries]
-        term = cur
+        limit = birkhoff_limit(system, f)
+        scale = 2.0 * system.longest_cycle * float(sup_norm(f))
+        g = f
     else:
-        limit = [float(x) for x in correlation_limit(system, f, against).entries]
-        scale = 2.0 * lmax * float(sup_norm(f)) * float(sup_norm(against))
+        limit = correlation_limit(system, f, against)
+        scale = 2.0 * system.longest_cycle * float(sup_norm(f)) * float(sup_norm(against))
+        g = against
         weights = [float(w) for w in system.expectation.weights]
-        blocks = system.expectation.blocks
         f_float = [float(x) for x in f.entries]
-        cur = [float(x) for x in against.entries]
-
-        def averaged_product(g):
-            out = [0.0] * n_atoms
-            for b in blocks:
-                s = sum(weights[i] * f_float[i] * g[i] for i in b)
-                m = sum(weights[i] for i in b)
-                v = s / m
-                for i in b:
-                    out[i] = v
-            return out
-
-        term = averaged_product(cur)
-    acc = [0.0] * n_atoms
+    limit = [float(x) for x in limit.entries]
     rows = []
-    k = 0
-    for n in sorted(set(grid)):
-        while k < n:
-            for i in range(n_atoms):
-                acc[i] += term[i]
-            cur = [cur[sigma[i]] for i in range(n_atoms)]
-            term = cur if against is None else averaged_product(cur)
-            k += 1
-        err = max(abs(acc[i] / n - limit[i]) for i in range(n_atoms))
+    for n, mean in cesaro_sweep(system.koopman.sigma, [float(x) for x in g.entries],
+                                sorted(set(grid))):
+        if against is not None:  # E(f · mean), blockwise in floats
+            for b in system.expectation.blocks:
+                v = sum(weights[i] * f_float[i] * mean[i] for i in b) / sum(weights[i] for i in b)
+                for i in b:
+                    mean[i] = v
+        err = max(abs(m - lim) for m, lim in zip(mean, limit))
         bound = scale / n
         rows.append((n, err, bound, err <= bound + FLOAT_TOLERANCE))
     return rows

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from . import caps
 from .checks import vector_to_json
-from .riesz import Component, DimensionMismatch, RieszVector, basis_vector, sup_norm, zero
+from .riesz import Component, DimensionMismatch, RieszVector, _wrap, basis_vector, sup_norm, zero
 from .system import CepsSystem
 
 # a PEP 604 union: typing.Union would keep every imported RieszVector class
@@ -45,18 +46,36 @@ CRITERIA = (
 
 # --- Cesàro means and exact time averages -----------------------------------
 
+def cesaro_sweep(sigma: Sequence[int], values: Sequence, grid: Sequence[int]):
+    """Cesàro means of ``values`` under the atom map ``sigma`` along an ascending grid.
+
+    The one loop that accumulates composition iterates: a single pass over
+    values, values∘σ, values∘σ², ... keeps the running sum of the first k of
+    them and yields ``(n, [sum / n])`` at each grid index n (all >= 1).  The
+    arithmetic is the entries' own: exact for ``Fraction`` entries, floating
+    for floats, summed in iterate order either way.
+    """
+    if len(values) != len(sigma):
+        raise DimensionMismatch(f"map on {len(sigma)} atoms applied to a {len(values)}-atom vector")
+    acc = cur = list(values)
+    k = 1
+    for n in grid:
+        while k < n:
+            cur = list(map(cur.__getitem__, sigma))
+            acc = list(map(add, acc, cur))
+            k += 1
+        yield n, [a / n for a in acc]
+
+
 def cesaro_mean(system: CepsSystem, f: RieszVector, n: int) -> RieszVector:
-    """Average of the first n composition iterates of f, computed incrementally."""
+    """Average of the first n composition iterates of f: a one-point sweep.
+
+    Reads only the atom map, so it runs on unvalidated systems too.
+    """
     if not isinstance(n, int) or n < 1:
         raise ValueError("the Cesàro index n must be a positive integer")
-    koop = system.koopman
-    acc = list(f.entries)
-    cur = f
-    for _ in range(n - 1):
-        cur = koop.apply(cur)
-        for i, x in enumerate(cur.entries):
-            acc[i] += x
-    return RieszVector(x / n for x in acc)
+    [(_, mean)] = cesaro_sweep(system.koopman.sigma, f.entries, [n])
+    return _wrap(RieszVector, tuple(mean))
 
 
 def birkhoff_limit(system: CepsSystem, f: RieszVector) -> RieszVector:
@@ -82,26 +101,16 @@ class CesaroTrace:
 
 
 def cesaro_trace(system: CepsSystem, f: RieszVector, ns: Sequence[int]) -> CesaroTrace:
-    """One incremental sweep through max(ns) iterates, snapshotting each index."""
+    """One sweep through max(ns) iterates, snapshotting each index."""
     system.require_valid()
     grid = sorted(set(int(n) for n in ns))
     if not grid or grid[0] < 1:
         raise ValueError("the index grid must consist of positive integers")
-    koop = system.koopman
     limit = birkhoff_limit(system, f)
-    acc = [Fraction(0)] * system.n
-    cur = f
-    values = []
-    k = 0
-    for n in grid:
-        while k < n:
-            for i, x in enumerate(cur.entries):
-                acc[i] += x
-            cur = koop.apply(cur)
-            k += 1
-        values.append((n, RieszVector(x / n for x in acc)))
+    values = tuple((n, _wrap(RieszVector, tuple(mean)))
+                   for n, mean in cesaro_sweep(system.koopman.sigma, f.entries, grid))
     errors = tuple(sup_norm(v - limit) for _, v in values)
-    return CesaroTrace(f, tuple(values), limit, errors)
+    return CesaroTrace(f, values, limit, errors)
 
 
 def cesaro_error_bound(system: CepsSystem, f: RieszVector, n: int) -> Fraction:
@@ -180,24 +189,22 @@ def decide_definition(system: CepsSystem) -> Verdict:
     return True, None
 
 
-def decide_absorbing(system: CepsSystem, mode: str = "reduction",
+def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
                      cap: Optional[int] = None) -> Verdict:
     """Components whose image sticks out nowhere must be range members.
 
     The hypothesis "the averaged part of the image lying outside p vanishes"
-    forces p to be invariant (strict positivity), so the reduction mode scans
-    cycle indicators; exhaustive mode evaluates hypothesis and conclusion for
-    every component under the cap.
+    forces p to be invariant (strict positivity), so the fast route scans
+    cycle indicators; the exhaustive route evaluates hypothesis and
+    conclusion for every component under the cap.
     """
     system.require_valid()
     view = system.view
-    if mode == "reduction":
+    if not exhaustive:
         for ci, p_mask in enumerate(view.cycle_masks):
             if not view.block_constant(p_mask):
                 return False, _cycle_indicator(view, ci)
         return True, None
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
     n = system.n
     caps.guard("exhaustive component scan", n, cap)
     for p_mask in _lex_masks(n):
@@ -208,25 +215,23 @@ def decide_absorbing(system: CepsSystem, mode: str = "reduction",
     return True, None
 
 
-def decide_sweep_out(system: CepsSystem, mode: str = "reduction",
+def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
                      cap: Optional[int] = None) -> Verdict:
     """The forward orbit of every component joins up to a range member.
 
-    The join distributes over component joins, so the reduction mode scans
-    singletons only; exhaustive mode walks every component under the cap.
+    The join distributes over component joins, so the fast route scans
+    singletons only; the exhaustive route walks every component under the cap.
     """
     system.require_valid()
     n = system.n
     view = system.view
-    if mode == "reduction":
+    if not exhaustive:
         # the atoms of one cycle share one forward orbit, and the least of them
         # (the cycle's first atom) is the first the singleton scan reaches
         for c in view.cycles:
             if not view.block_constant(view.orbit_join(1 << c[0])):
                 return False, basis_vector(n, c[0])
         return True, None
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
     caps.guard("exhaustive component scan", n, cap)
     for p_mask in _lex_masks(n):
         if not view.block_constant(view.orbit_join(p_mask)):
@@ -253,16 +258,12 @@ def decide_time_average(system: CepsSystem) -> Verdict:
 # --- Correlation criteria -------------------------------------------------------
 
 def correlation_mean(system: CepsSystem, f: RieszVector, g: RieszVector, n: int) -> RieszVector:
-    """Average of the first n averaged products of f with the iterates of g."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("the correlation index n must be a positive integer")
-    exp, koop = system.expectation, system.koopman
-    acc: RieszVector = zero(system.n)
-    cur = g
-    for _ in range(n):
-        acc = acc + exp.apply(f * cur)
-        cur = koop.apply(cur)
-    return acc / n
+    """Average of the first n averaged products E(f · Sᵏg), k < n.
+
+    Averaging, and multiplying by f, are linear, so they commute with the
+    mean over k: the n-th correlation mean is E(f · cesaro_mean(g, n)).
+    """
+    return system.expectation.apply(f * cesaro_mean(system, g, n))
 
 
 def correlation_limit(system: CepsSystem, f: RieszVector, g: RieszVector) -> RieszVector:
@@ -455,6 +456,24 @@ class ErgodicityReport:
         return out
 
 
+def _correlation(variant: str):
+    scanned = variant in ("corr-component-pairs", "corr-diagonal-components")
+    return lambda system, exhaustive, cap: decide_correlation(
+        system, variant, exhaustive and scanned, cap)
+
+
+# Every criterion by name, called as DECIDERS[name](system, exhaustive, cap);
+# ``exhaustive`` selects the literal scan where the criterion has one.  The
+# entries look their decider up when called, so a rebound decide_* is seen.
+DECIDERS = {
+    "definition": lambda system, exhaustive, cap: decide_definition(system),
+    "absorbing": lambda system, exhaustive, cap: decide_absorbing(system, exhaustive, cap),
+    "sweep-out": lambda system, exhaustive, cap: decide_sweep_out(system, exhaustive, cap),
+    "time-average": lambda system, exhaustive, cap: decide_time_average(system),
+    **{variant: _correlation(variant) for variant in CORRELATION_VARIANTS},
+}
+
+
 def full_report(system: CepsSystem, exhaustive: bool = False,
                 cap: Optional[int] = None) -> ErgodicityReport:
     """Run every decision procedure and aggregate the verdicts.
@@ -469,20 +488,13 @@ def full_report(system: CepsSystem, exhaustive: bool = False,
     "corr-ideal-pairs".
     """
     system.require_valid()
-    mode = "exhaustive" if exhaustive else "reduction"
-    results: dict[str, Verdict] = {
-        "definition": decide_definition(system),
-        "absorbing": decide_absorbing(system, mode=mode, cap=cap),
-        "sweep-out": decide_sweep_out(system, mode=mode, cap=cap),
-        "time-average": decide_time_average(system),
-    }
-    for variant in CORRELATION_VARIANTS:
-        if variant == "corr-ideal-pairs":
+    results: dict[str, Verdict] = {}
+    for name, decide in DECIDERS.items():
+        if name == "corr-ideal-pairs":
             # the same quantifier as bounded pairs in finite dimensions: share its verdict
-            results[variant] = results["corr-bounded-pairs"]
-            continue
-        use_exhaustive = exhaustive and variant in ("corr-component-pairs", "corr-diagonal-components")
-        results[variant] = decide_correlation(system, variant, exhaustive=use_exhaustive, cap=cap)
+            results[name] = results["corr-bounded-pairs"]
+        else:
+            results[name] = decide(system, exhaustive, cap)
     verdicts = {name: ok for name, (ok, _) in results.items()}
     witnesses = {name: w for name, (_, w) in results.items() if w is not None}
     agreement = len(set(verdicts.values())) == 1

@@ -189,29 +189,6 @@ def _atoms(n: int) -> int:
     return n
 
 
-def lattice_sup(f: RieszVector, g: RieszVector) -> RieszVector:
-    return f.sup(g)
-
-
-def lattice_inf(f: RieszVector, g: RieszVector) -> RieszVector:
-    return f.inf(g)
-
-
-def pos_part(f: RieszVector) -> RieszVector:
-    return f.pos_part()
-
-
-def neg_part(f: RieszVector) -> RieszVector:
-    return f.neg_part()
-
-
-def e_multiply(f: RieszVector, g: RieszVector) -> RieszVector:
-    """Entrywise product (the algebra product with the all-ones unit)."""
-    if not isinstance(f, RieszVector) or not isinstance(g, RieszVector):
-        raise TypeError("e_multiply expects two vectors")
-    return f * g
-
-
 def unit(n: int) -> "Component":
     """The weak order unit: the all-ones vector on n atoms."""
     return _wrap(Component, (ONE,) * _atoms(n))

@@ -81,8 +81,8 @@ def test_criterion_3_invariance_criteria_equivalence(corpus):
         assert E.decide_sweep_out(system)[0] == expected
         if system.n <= 10:
             exhaustive_runs += 1
-            assert E.decide_absorbing(system, mode="exhaustive")[0] == expected
-            assert E.decide_sweep_out(system, mode="exhaustive")[0] == expected
+            assert E.decide_absorbing(system, exhaustive=True)[0] == expected
+            assert E.decide_sweep_out(system, exhaustive=True)[0] == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"equivalence suite took {elapsed:.2f}s, target < 60s"
     announce(3, "invariance criteria equivalence",

@@ -12,6 +12,8 @@ import pytest
 import ergolab as E
 from ergolab.cli import main, parse_n_grid, parse_vector_spec
 
+from test_ergodicity import brute_correlation
+
 F = Fraction
 
 
@@ -307,10 +309,10 @@ def test_converge_correlation_table(capsys, ergodic_path):
     assert all(row["within_bound"] for row in doc["rows"])
     last = doc["rows"][-1]
     assert last["n"] == 32
-    # the table row must equal the library-side correlation gap exactly
+    # the table row must equal the correlation gap taken from the definition, exactly
     system = E.load_system(ergodic_path)
     e0 = E.basis_vector(3, 0)
-    gap = E.sup_norm(E.correlation_mean(system, e0, e0, 32) - E.correlation_limit(system, e0, e0))
+    gap = E.sup_norm(brute_correlation(system, e0, e0, 32) - E.correlation_limit(system, e0, e0))
     assert F(last["sup_error"]["num"], last["sup_error"]["den"]) == gap
     assert gap > 0
 
@@ -325,16 +327,17 @@ def test_converge_float_mode(capsys, ergodic_path):
 
 
 def test_converge_float_correlation_tracks_exact(capsys, ergodic_path):
-    args = ("converge", ergodic_path, "--vector", "basis:0", "--against", "basis:1",
-            "--n-grid", "geometric:1:64", "--emit", "json")
-    code, out, _ = run(capsys, *args, "--float")
-    assert code == 0
-    float_rows = {row["n"]: row["sup_error"] for row in json.loads(out)["rows"]}
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    for row in json.loads(out)["rows"]:
-        exact = row["sup_error"]["num"] / row["sup_error"]["den"]
-        assert abs(float_rows[row["n"]] - exact) < 1e-9
+    table = ("converge", ergodic_path, "--vector", "basis:0",
+             "--n-grid", "geometric:1:64", "--emit", "json")
+    for args in (table + ("--against", "basis:1"), table):
+        code, out, _ = run(capsys, *args, "--float")
+        assert code == 0
+        float_rows = {row["n"]: row["sup_error"] for row in json.loads(out)["rows"]}
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            exact = row["sup_error"]["num"] / row["sup_error"]["den"]
+            assert abs(float_rows[row["n"]] - exact) < 1e-9
 
 
 def test_converge_bad_vector_spec(capsys, ergodic_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergolab as E
-from ergolab.ergodicity import CORRELATION_VARIANTS
+from ergolab.ergodicity import CORRELATION_VARIANTS, CRITERIA, DECIDERS
 
 from conftest import block_crossing_system, systems, systems_with_vectors, vectors
 
@@ -73,6 +73,19 @@ def brute_cesaro(system, f, n):
 def test_cesaro_matches_definition(pair, n):
     system, f = pair
     assert E.cesaro_mean(system, f, n) == brute_cesaro(system, f, n)
+
+
+def test_sweep_keeps_the_entries_arithmetic():
+    system = three_cycle()
+    f = rv(3, -1, F(1, 2))
+    grid = [1, 2, 5, 9]
+    exact = list(E.cesaro_sweep(system.koopman.sigma, f.entries, grid))
+    floating = list(E.cesaro_sweep(system.koopman.sigma, [float(x) for x in f.entries], grid))
+    assert [n for n, _ in exact] == [n for n, _ in floating] == grid
+    for (n, mean), (_, approx) in zip(exact, floating):
+        assert mean == list(brute_cesaro(system, f, n).entries)
+        assert all(isinstance(x, float) for x in approx)
+        assert approx == pytest.approx([float(x) for x in mean], abs=1e-12)
 
 
 def test_trace_snapshots_match_single_calls():
@@ -173,13 +186,13 @@ def test_definition_cycles_matching_blocks_is_ergodic():
 
 
 def test_absorbing_three_cycle_exhaustive():
-    ok, witness = E.decide_absorbing(three_cycle(), mode="exhaustive")
+    ok, witness = E.decide_absorbing(three_cycle(), exhaustive=True)
     assert ok and witness is None
 
 
 def test_absorbing_identity_witness_is_genuine():
     system = identity_two()
-    ok, witness = E.decide_absorbing(system, mode="exhaustive")
+    ok, witness = E.decide_absorbing(system, exhaustive=True)
     assert not ok
     e = E.unit(2)
     moved = system.koopman.apply(witness)
@@ -236,23 +249,57 @@ def test_time_average_identity_witness():
 @settings(max_examples=60)
 def test_reduction_and_exhaustive_modes_agree(system):
     fast_a, _ = E.decide_absorbing(system)
-    slow_a, _ = E.decide_absorbing(system, mode="exhaustive")
+    slow_a, _ = E.decide_absorbing(system, exhaustive=True)
     fast_s, _ = E.decide_sweep_out(system)
-    slow_s, _ = E.decide_sweep_out(system, mode="exhaustive")
+    slow_s, _ = E.decide_sweep_out(system, exhaustive=True)
     assert fast_a == slow_a == fast_s == slow_s
 
 
 def test_exhaustive_modes_respect_cap():
     system = three_cycle()
     with pytest.raises(E.CapExceededError):
-        E.decide_absorbing(system, mode="exhaustive", cap=2)
+        E.decide_absorbing(system, exhaustive=True, cap=2)
     with pytest.raises(E.CapExceededError):
-        E.decide_sweep_out(system, mode="exhaustive", cap=2)
+        E.decide_sweep_out(system, exhaustive=True, cap=2)
     with pytest.raises(E.CapExceededError):
         E.decide_correlation(system, "corr-component-pairs", exhaustive=True, cap=5)
 
 
+def test_decider_table_runs_scans_only_where_they_exist():
+    assert tuple(DECIDERS) == CRITERIA
+    system = three_cycle()
+    scanned = ("absorbing", "sweep-out", "corr-component-pairs", "corr-diagonal-components")
+    for name, decide in DECIDERS.items():
+        assert decide(system, False, 0) == (True, None)  # fast routes read no cap
+        if name in scanned:
+            with pytest.raises(E.CapExceededError):
+                decide(system, True, 0)
+        else:
+            assert decide(system, True, 0) == (True, None)
+
+
 # --- correlations -----------------------------------------------------------------------
+
+def brute_correlation(system, f, g, n):
+    """Definitional oracle: the averaged products E(f S^k g), k < n, summed term by term."""
+    terms = []
+    cur = g
+    for _ in range(n):
+        terms.append(system.expectation.apply(f * cur))
+        cur = system.koopman.apply(cur)
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc / n
+
+
+@given(systems_with_vectors(max_n=7), st.integers(1, 12), st.data())
+@settings(max_examples=50)
+def test_correlation_matches_definition(pair, n, data):
+    system, f = pair
+    g = data.draw(vectors(system.n))
+    assert E.correlation_mean(system, f, g, n) == brute_correlation(system, f, g, n)
+
 
 def test_correlation_mean_with_invariant_second_argument():
     system = paired_swaps()
