@@ -144,15 +144,87 @@ def orbit_join(system: CepsSystem, p: Component) -> Component:
 # --- Mask scans ---------------------------------------------------------------
 #
 # Exhaustive scans enumerate bitmask components in lexicographic entry order
-# (atom 0 most significant), matching the oracle enumeration.  They read the
-# system's cleared-integer view, so per-component equality tests run in exact
-# integer arithmetic; tests certify these against direct rational evaluation
-# on small atom counts.
+# (atom 0 most significant), matching the oracle enumeration: the k-th mask
+# holds atom i iff bit n-1-i of k is set.  They read the system's
+# cleared-integer view, so per-component equality tests run in exact integer
+# arithmetic; tests certify these against the literal per-mask scans on small
+# atom counts.
+#
+# The absorbing and sweep-out scans are bit-sliced: each atom gets a truth
+# table, an int whose bit k says whether the atom is in the k-th mask, so one
+# big-int operation evaluates a set operation on every mask at once, and the
+# failing masks come out as the set bits of one failure table.  The tables
+# cover a slice of at most 2**_SLICE_LOG masks at a time, which bounds their
+# memory whatever the cap, and the scan stops at the first slice that fails.
+
+_SLICE_LOG = 16
 
 
 def _lex_masks(n: int):
     for k in range(1 << n):
         yield int(format(k, f"0{n}b")[::-1], 2)
+
+
+def _lex_tables(n: int):
+    """Per-atom truth tables over the lex-ordered masks, one slice at a time.
+
+    Yields ``(first, tables)`` for consecutive slices of ``_lex_masks(n)``;
+    bit k of ``tables[i]`` is set iff atom i is in mask number first + k,
+    that is iff bit n-1-i of first + k is set.
+    """
+    w = min(n, _SLICE_LOG)
+    width = 1 << w
+    full = (1 << width) - 1
+    low = []  # bit b < w of the index: runs of 2**b zeros then 2**b ones
+    for b in range(w):
+        run = 1 << b
+        table = ((1 << run) - 1) << run
+        period = 2 * run
+        while period < width:
+            table |= table << period
+            period *= 2
+        low.append(table)
+    for s in range(1 << (n - w)):
+        # the index bits from w up are those of the slice number, constant over it
+        yield s << w, [low[b] if b < w else (full if s >> (b - w) & 1 else 0)
+                       for b in range(n - 1, -1, -1)]
+
+
+def _straddling(blocks, tables) -> int:
+    """Failure table of block-constancy: the masks meeting some block in part of it."""
+    out = 0
+    for block in blocks:
+        some, every = 0, -1
+        for i in block:
+            some |= tables[i]
+            every &= tables[i]
+        out |= some & ~every
+    return out
+
+
+def _first_failure(n: int, failures) -> Optional[Component]:
+    """The lex-first mask whose bit ``failures(tables)`` sets, or None."""
+    for first, tables in _lex_tables(n):
+        fail = failures(tables)
+        if fail:
+            return Component.from_bits(format(first + (fail & -fail).bit_length() - 1, f"0{n}b"))
+    return None
+
+
+class _ClassRow(dict):
+    """Pair-identity verdicts of one cycle-count class against others, by class id.
+
+    A lookup of a class not seen yet evaluates the identity and keeps the
+    verdict, so each pair of classes is evaluated at most once.
+    """
+
+    def __init__(self, view, counts, p_class: int):
+        super().__init__()
+        self.view, self.counts, self.p_counts = view, counts, counts[p_class]
+
+    def __missing__(self, q_class: int) -> bool:
+        ok = self[q_class] = self.view.correlation_pair_holds(self.p_counts, self.counts[q_class])
+        return ok
 
 
 # --- The decision procedures ---------------------------------------------------
@@ -180,11 +252,11 @@ def decide_definition(system: CepsSystem) -> Verdict:
     view = system.view
     for ci, c in enumerate(view.cycles):
         b = view.block_of[c[0]]
-        # E(p) is num/den on p's block b; p is 1 on the cycle and 0 on the
-        # rest of b, and both vanish off b
+        # E(p) is num/den on p's block b, p is 1 on the cycle, and both vanish
+        # off b.  num == den makes the cycle all of b (weights are strictly
+        # positive), so no atom of b is left where p is 0 and E(p) is not
         num, den = view.cycle_mass[ci], view.block_weight[b]
-        off_cycle = view.block_masks[b] & ~view.cycle_masks[ci]
-        if num != den or (off_cycle and num != 0):
+        if num != den:
             return False, _cycle_indicator(view, ci)
     return True, None
 
@@ -196,7 +268,8 @@ def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
     The hypothesis "the averaged part of the image lying outside p vanishes"
     forces p to be invariant (strict positivity), so the fast route scans
     cycle indicators; the exhaustive route evaluates hypothesis and
-    conclusion for every component under the cap.
+    conclusion for every component under the cap, on all of them at once
+    through per-atom truth tables.
     """
     system.require_valid()
     view = system.view
@@ -207,12 +280,19 @@ def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
         return True, None
     n = system.n
     caps.guard("exhaustive component scan", n, cap)
-    for p_mask in _lex_masks(n):
-        image = view.image_mask(p_mask)
-        outside = image & ~p_mask
-        if view.average_is_zero(outside) and not view.block_constant(p_mask):
-            return False, Component.from_mask(n, p_mask)
-    return True, None
+    sigma, blocks = system.koopman.sigma, view.blocks
+
+    def failures(tables):
+        # the image of p holds atom i iff p holds sigma(i), so its tables are
+        # those of p permuted; by strict positivity of the weights the averaged
+        # part of the image outside p vanishes iff that part is empty
+        sticks_out = 0
+        for i, j in enumerate(sigma):
+            sticks_out |= tables[j] & ~tables[i]
+        return _straddling(blocks, tables) & ~sticks_out
+
+    witness = _first_failure(n, failures)
+    return witness is None, witness
 
 
 def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
@@ -220,7 +300,9 @@ def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
     """The forward orbit of every component joins up to a range member.
 
     The join distributes over component joins, so the fast route scans
-    singletons only; the exhaustive route walks every component under the cap.
+    singletons only; the exhaustive route iterates image-and-join for every
+    component under the cap, on all of them at once through per-atom truth
+    tables.
     """
     system.require_valid()
     n = system.n
@@ -233,10 +315,23 @@ def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
                 return False, basis_vector(n, c[0])
         return True, None
     caps.guard("exhaustive component scan", n, cap)
-    for p_mask in _lex_masks(n):
-        if not view.block_constant(view.orbit_join(p_mask)):
-            return False, Component.from_mask(n, p_mask)
-    return True, None
+    sigma, blocks = system.koopman.sigma, view.blocks
+
+    def failures(tables):
+        # image-and-join on every mask at once, until no table grows: a mask
+        # whose own join stopped growing earlier is closed under the image from
+        # then on (see orbit_join), so each bit ends at that mask's orbit join
+        join = [0] * n
+        cur = tables
+        while True:
+            cur = [cur[j] for j in sigma]
+            grown = [a | b for a, b in zip(join, cur)]
+            if grown == join:
+                return _straddling(blocks, join)
+            join = grown
+
+    witness = _first_failure(n, failures)
+    return witness is None, witness
 
 
 def decide_time_average(system: CepsSystem) -> Verdict:
@@ -248,9 +343,10 @@ def decide_time_average(system: CepsSystem) -> Verdict:
     for i in range(n):
         ci, b = view.cycle_of[i], view.block_of[i]
         # on block b the time average of e_i is 1/|C| on i's cycle C and 0 on
-        # the rest of b, its average is w_i/W_b throughout; both vanish off b
-        off_cycle = view.block_masks[b] & ~view.cycle_masks[ci]
-        if view.block_weight[b] != len(view.cycles[ci]) * wts[i] or (off_cycle and wts[i] != 0):
+        # the rest of b, its average is w_i/W_b throughout; both vanish off b.
+        # Equality on C makes the cycle mass W_b, so C is all of b (weights are
+        # strictly positive) and there is no rest of b to compare
+        if view.block_weight[b] != len(view.cycles[ci]) * wts[i]:
             return False, basis_vector(n, i)
     return True, None
 
@@ -276,10 +372,11 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
     """Averaged products decouple in the limit: the criterion family.
 
     Pair variants quantify over all (f, g); bilinearity reduces them to the
-    standard basis.  The diagonal variant is a quadratic form, decided on the
-    basis plus all pairwise sums (polarization).  Component variants scan
-    cycle indicators on the fast route -- any failure shows up on a cycle
-    indicator -- and every component (pair) on the exhaustive route.
+    standard basis.  The diagonal variant is a quadratic form, decided by
+    polarization on the basis plus all pairwise sums.  Component variants
+    scan cycle indicators on the fast route -- any failure shows up on a
+    cycle indicator -- and every component (pair) on the exhaustive route,
+    evaluating the identity once per pair of cycle-count classes.
 
     The fast routes evaluate the identity limit(f, g) = E(f) E(g) in the
     integers of the system's structural view (both sides scaled by the cycle
@@ -287,9 +384,10 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
     nonzero.  Across blocks both sides are 0: the time average of a vector
     stays on its own cycles, and averages of vectors on different blocks
     have disjoint supports.  So pair routes pair i only with the atoms of
-    its own block, and the diagonal route, once every basis vector passes,
-    polarizes only same-block pairs: for e_i + e_j across blocks the gap is
-    the sum of the two singleton gaps.  ``full_report`` records the
+    its own block.  The diagonal route needs only the basis: the identity at
+    e_i holds iff i's cycle carries its block's whole mass, so once every
+    basis vector passes every block is one cycle and every pairwise sum
+    passes too.  ``full_report`` records the
     bounded-pairs verdict under "corr-ideal-pairs" too (the two quantifiers
     coincide in finite dimensions); asked for by name, "corr-ideal-pairs"
     runs on its own.
@@ -319,21 +417,8 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
             if view.block_weight[b] * wts[i] * view.cycle_step[ci] != lcm * wts[i] * wts[i]:
                 ei = basis_vector(n, i)
                 return False, (ei, ei)
-        # every basis vector passed, so cross-block sums pass: their gap is
-        # the sum of the two singleton gaps
-        for i in range(n):
-            b, ci = view.block_of[i], view.cycle_of[i]
-            block = view.blocks[b]
-            bw = view.block_weight[b]
-            own = wts[i] * view.cycle_step[ci]
-            for j in block[block.index(i) + 1:]:
-                # f = e_i + e_j: limit(f, f) is mult (w_i/|C_i| + w_j/|C_j|) / W_b on
-                # b, mult = 2 when i and j share a cycle; E(f)^2 is (w_i + w_j)^2 / W_b^2
-                mult = 2 if view.cycle_of[j] == ci else 1
-                if bw * mult * (own + wts[j] * view.cycle_step[view.cycle_of[j]]) \
-                        != lcm * (wts[i] + wts[j]) ** 2:
-                    f = basis_vector(n, i) + basis_vector(n, j)
-                    return False, (f, f)
+        # every basis vector passed, so every block is one cycle (the identity
+        # at e_i makes i's cycle mass W_b) and every pair identity holds
         return True, None
 
     if variant == "corr-component-pairs":
@@ -349,12 +434,20 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
             return True, None
         caps.guard("exhaustive component-pair scan", 2 * n, cap)
         masks = list(_lex_masks(n))
-        counts = {m: view.cycle_counts(m) for m in masks}
-        for pi, p_mask in enumerate(masks):
-            cp = counts[p_mask]
-            for q_mask in masks[pi:]:  # the cleared identity is symmetric in (p, q)
-                if not view.correlation_pair_holds(cp, counts[q_mask]):
-                    return False, (Component.from_mask(n, p_mask), Component.from_mask(n, q_mask))
+        # the identity reads only per-cycle counts, so masks with equal counts
+        # share a class id and each pair of classes is evaluated once
+        class_ids: dict[tuple[int, ...], int] = {}
+        classes = [class_ids.setdefault(tuple(view.cycle_counts(m)), len(class_ids)) for m in masks]
+        counts = list(class_ids)
+        rows: dict[int, _ClassRow] = {}
+        for pi, cp in enumerate(classes):
+            row = rows.get(cp)
+            if row is None:
+                row = rows[cp] = _ClassRow(view, counts, cp)
+            later = classes[pi:]  # the cleared identity is symmetric in (p, q)
+            if not all(map(row.__getitem__, later)):
+                qi = pi + [row[cq] for cq in later].index(False)
+                return False, (Component.from_mask(n, masks[pi]), Component.from_mask(n, masks[qi]))
         return True, None
 
     # corr-diagonal-components
@@ -366,9 +459,13 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
                 return False, (p, p)
         return True, None
     caps.guard("exhaustive component scan", n, cap)
+    verdicts: dict[tuple[int, ...], bool] = {}  # by cycle-count class, as for pairs
     for p_mask in _lex_masks(n):
-        cp = view.cycle_counts(p_mask)
-        if not view.correlation_pair_holds(cp, cp):
+        cp = tuple(view.cycle_counts(p_mask))
+        ok = verdicts.get(cp)
+        if ok is None:
+            ok = verdicts[cp] = view.correlation_pair_holds(cp, cp)
+        if not ok:
             p = Component.from_mask(n, p_mask)
             return False, (p, p)
     return True, None

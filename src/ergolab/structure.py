@@ -96,24 +96,6 @@ class StructuralView:
                 return False
         return True
 
-    def average_is_zero(self, mask: int) -> bool:
-        """Evaluate whether the averaged indicator of ``mask`` is the zero vector.
-
-        The average on a block is the weighted count over the block weight;
-        all block numerators are computed and compared with zero.
-        """
-        wts = self.weights
-        for bm in self.block_masks:
-            m = mask & bm
-            num = 0
-            while m:
-                low = m & -m
-                num += wts[low.bit_length() - 1]
-                m ^= low
-            if num != 0:
-                return False
-        return True
-
     def cycle_counts(self, mask: int) -> list[int]:
         counts = [0] * len(self.cycles)
         m = mask

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and helpers for the test suite."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -51,3 +52,33 @@ def block_crossing_system():
     return E.CepsSystem.from_parts(
         [Fraction(1, 4)] * 4, [[0, 1], [2, 3]], [2, 1, 0, 3]
     )
+
+
+def one_cycle_per_block(n, blocks, seed, split=False):
+    """A seeded ergodic system: blocks of balanced sizes, one sigma-cycle
+    through each, weights constant on each block.  With ``split`` the first
+    block of two or more atoms carries two cycles instead, which leaves the
+    system valid but not ergodic."""
+    rng = random.Random(seed)
+    atoms = list(range(n))
+    rng.shuffle(atoms)
+    edges = [round(k * n / blocks) for k in range(blocks + 1)]
+    partition = [atoms[a:b] for a, b in zip(edges, edges[1:])]
+    sigma = [0] * n
+    masses = [0] * n
+    for block in partition:
+        order = list(block)
+        rng.shuffle(order)
+        cycles = [order]
+        if split and len(order) > 1:
+            cycles, split = [order[:len(order) // 2], order[len(order) // 2:]], False
+        for cycle in cycles:
+            for k, i in enumerate(cycle):
+                sigma[i] = cycle[(k + 1) % len(cycle)]
+        mass = rng.randint(1, 9)
+        for i in block:
+            masses[i] = mass
+    if split:
+        raise ValueError("no block has two atoms to split")
+    total = sum(masses)
+    return E.CepsSystem.from_parts([Fraction(m, total) for m in masses], partition, sigma)

@@ -1,0 +1,80 @@
+"""The exhaustive routes: a pinned digest of their reports, and their reach.
+
+The digest pins every verdict and the lex-first order of every witness on a
+fixed seeded corpus, so any change to either fails loudly.  The reach tests
+run the bit-sliced scans at the default cap, check that the cap refuses a
+scan before any truth table exists, and bound the memory a scan holds.
+"""
+
+import hashlib
+import json
+import tracemalloc
+
+import pytest
+
+import ergolab as E
+from ergolab import ergodicity
+
+from conftest import one_cycle_per_block
+from test_literal_routes import literal_absorbing_scan, literal_sweep_out_scan
+
+# sha256 of the exhaustive reports over DIGEST_CORPUS, one sorted-key JSON
+# line per system, as computed before the scans were bit-sliced
+REPORT_DIGEST = "855ee11570c41fbfac96484e1571311fec04c03e27e3aeef7214ada317e177b4"
+
+
+def digest_corpus():
+    """400 seeded random systems, n <= 8 and 1-4 blocks, 135 of them ergodic."""
+    for k in range(400):
+        n = 1 + k % 8 if k % 3 else 5 + k % 4
+        blocks = 1 + (k // 8) % min(4, n)
+        yield E.random_system(n, blocks, 7919 * k + 13)
+
+
+def test_exhaustive_reports_keep_their_digest():
+    digest = hashlib.sha256()
+    ergodic = 0
+    for system in digest_corpus():
+        report = E.full_report(system, exhaustive=True, cap=16).to_dict()
+        ergodic += report.get("ergodic", False)
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    assert ergodic == 135
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_scans_at_the_default_cap_agree_with_the_fast_routes(split):
+    system = one_cycle_per_block(E.DEFAULT_CAP, 1, seed=5, split=split)
+    for decide, literal in ((E.decide_absorbing, literal_absorbing_scan),
+                            (E.decide_sweep_out, literal_sweep_out_scan)):
+        assert decide(system)[0] is not split
+        scanned = decide(system, exhaustive=True)
+        assert scanned[0] is not split
+        if split:  # the literal scan stops early here
+            assert scanned == literal(system)
+
+
+def test_the_cap_refuses_a_scan_before_any_table_is_built(monkeypatch):
+    def no_tables(n):
+        raise AssertionError("a truth table was built")
+
+    monkeypatch.setattr(ergodicity, "_lex_tables", no_tables)
+    system = one_cycle_per_block(E.DEFAULT_CAP + 1, 1, seed=5)
+    for decide in (E.decide_absorbing, E.decide_sweep_out):
+        with pytest.raises(E.CapExceededError):
+            decide(system, exhaustive=True)
+
+
+def test_slices_bound_the_memory_of_a_scan():
+    """All 2**20 components of an ergodic system: unsliced, each truth table
+    would hold 2**20 bits (128 KB), 2.6 MB per set of 20, and the join loop
+    holds about three sets at once."""
+    system = one_cycle_per_block(20, 2, seed=5)
+    tracemalloc.start()
+    try:
+        ok, witness = E.decide_sweep_out(system, exhaustive=True, cap=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and witness is None
+    assert peak < 4 * 2 ** 20

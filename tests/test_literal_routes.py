@@ -1,17 +1,25 @@
-"""Literal references that certify the fast decision routes.
+"""Literal references that certify the fast decision routes and the scans.
 
-Each reference below evaluates its criterion the direct way: it builds the
-rational vectors and applies the operators, with no structural view, no
-block restriction and no integer clearing.  The fast routes must return the
-same verdict and the same (lex-first) witness on every system of the small
-universe and on random systems up to seven atoms.
+Each fast-route reference below evaluates its criterion the direct way: it
+builds the rational vectors and applies the operators, with no structural
+view, no block restriction and no integer clearing.  The fast routes must
+return the same verdict and the same (lex-first) witness on every system of
+the small universe and on random systems up to seven atoms.
+
+The scan references walk the components one mask at a time in lex order and
+evaluate each criterion on that mask alone; the exhaustive routes, which
+evaluate the criteria on every mask at once (absorbing, sweep-out) or once
+per pair of cycle-count classes (the component scans), must return the same
+verdict and witness.
 """
 
+import pytest
 from hypothesis import given, settings
 
 import ergolab as E
+from ergolab import ergodicity
 
-from conftest import systems
+from conftest import one_cycle_per_block, systems
 from test_small_universe import every_valid_system
 
 
@@ -158,3 +166,151 @@ def test_fast_routes_match_literal_routes_across_block_counts():
         for blocks in range(1, 5):
             for seed in range(12):
                 assert_fast_matches_literal(E.random_system(n, blocks, 97 * seed + n))
+
+
+# --- literal exhaustive scans ------------------------------------------------------
+
+def lex_masks(n):
+    """Every mask of n atoms (bit i is atom i) in lex entry order, atom 0 most significant."""
+    for k in range(1 << n):
+        yield int(format(k, f"0{n}b")[::-1], 2)
+
+
+def average_is_zero(view, mask):
+    """Whether the averaged indicator of ``mask`` is the zero vector: the
+    weighted count of the mask in every block is compared with zero."""
+    for bm in view.block_masks:
+        m = mask & bm
+        num = 0
+        while m:
+            low = m & -m
+            num += view.weights[low.bit_length() - 1]
+            m ^= low
+        if num != 0:
+            return False
+    return True
+
+
+def literal_absorbing_scan(system):
+    n, view = system.n, system.view
+    for p_mask in lex_masks(n):
+        outside = view.image_mask(p_mask) & ~p_mask
+        if average_is_zero(view, outside) and not view.block_constant(p_mask):
+            return False, E.Component.from_mask(n, p_mask)
+    return True, None
+
+
+def literal_sweep_out_scan(system):
+    n, view = system.n, system.view
+    for p_mask in lex_masks(n):
+        if not view.block_constant(view.orbit_join(p_mask)):
+            return False, E.Component.from_mask(n, p_mask)
+    return True, None
+
+
+def literal_component_pair_scan(system):
+    n, view = system.n, system.view
+    masks = list(lex_masks(n))
+    counts = {m: view.cycle_counts(m) for m in masks}
+    for pi, p_mask in enumerate(masks):
+        for q_mask in masks[pi:]:
+            if not view.correlation_pair_holds(counts[p_mask], counts[q_mask]):
+                return False, (E.Component.from_mask(n, p_mask), E.Component.from_mask(n, q_mask))
+    return True, None
+
+
+def literal_diagonal_component_scan(system):
+    n, view = system.n, system.view
+    for p_mask in lex_masks(n):
+        cp = view.cycle_counts(p_mask)
+        if not view.correlation_pair_holds(cp, cp):
+            p = E.Component.from_mask(n, p_mask)
+            return False, (p, p)
+    return True, None
+
+
+LITERAL_SCANS = {
+    "absorbing": literal_absorbing_scan,
+    "sweep-out": literal_sweep_out_scan,
+    "corr-component-pairs": literal_component_pair_scan,
+    "corr-diagonal-components": literal_diagonal_component_scan,
+}
+
+
+def assert_scans_match_literal(system, criteria=tuple(LITERAL_SCANS)):
+    for criterion in criteria:
+        scanned = ergodicity.DECIDERS[criterion](system, True, 2 * system.n)
+        assert scanned == LITERAL_SCANS[criterion](system), (criterion, system)
+
+
+def scan_corpus():
+    """Random systems up to ten atoms (mostly not ergodic), and ergodic ones
+    with one cycle per block next to the same systems with a cycle split."""
+    for n in range(1, 11):
+        for blocks in range(1, min(4, n) + 1):
+            for seed in range(3):
+                yield E.random_system(n, blocks, 31 * seed + 7 * n + blocks)
+    for n in (6, 8, 10):
+        for blocks in (1, 2, 3):
+            yield one_cycle_per_block(n, blocks, n + blocks)
+            yield one_cycle_per_block(n, blocks, n + blocks, split=True)
+
+
+def test_scans_match_literal_scans_on_the_small_universe():
+    witnessed = 0
+    for system in every_valid_system():
+        assert_scans_match_literal(system)
+        witnessed += not E.decide_absorbing(system)[0]
+    assert witnessed > 0
+
+
+@given(systems(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_scans_match_literal_scans_on_random_systems(system):
+    assert_scans_match_literal(system)
+
+
+def test_scans_match_literal_scans_on_a_seeded_corpus():
+    verdicts = set()
+    for system in scan_corpus():
+        assert_scans_match_literal(system)
+        verdicts.add(E.decide_definition(system)[0])
+    assert verdicts == {True, False}
+
+
+def assert_tables_match(n, masks):
+    """Bit k of table i is atom i of the k-th mask, slice after slice."""
+    width = 1 << min(n, ergodicity._SLICE_LOG)
+    covered = 0
+    for first, tables in ergodicity._lex_tables(n):
+        assert first == covered and len(tables) == n
+        for i, table in enumerate(tables):
+            assert table >> width == 0
+            assert [table >> k & 1 for k in range(width)] == \
+                [masks[first + k] >> i & 1 for k in range(width)], (n, first, i)
+        covered += width
+    assert covered == len(masks)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_truth_tables_match_the_lex_masks(n):
+    masks = list(lex_masks(n))
+    assert list(ergodicity._lex_masks(n)) == masks
+    assert_tables_match(n, masks)
+
+
+def test_truth_tables_match_across_slice_boundaries(monkeypatch):
+    monkeypatch.setattr(ergodicity, "_SLICE_LOG", 3)
+    for n in range(1, 11):
+        assert_tables_match(n, list(lex_masks(n)))
+
+
+def test_sliced_scans_match_literal_scans(monkeypatch):
+    """Slices of four masks: witnesses in later slices keep their lex rank."""
+    monkeypatch.setattr(ergodicity, "_SLICE_LOG", 2)
+    late = 0
+    for system in scan_corpus():
+        assert_scans_match_literal(system, ("absorbing", "sweep-out"))
+        ok, witness = E.decide_absorbing(system, exhaustive=True)
+        late += not ok and witness.entries[:-2] != (0,) * (system.n - 2)
+    assert late > 0  # some witness lies past the first slice
