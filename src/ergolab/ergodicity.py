@@ -1,13 +1,16 @@
 """Cesàro means, exact time averages, and the ergodicity decision procedures.
 
-Every criterion is decided by a fast route that exploits the cycle structure
-of the validated atom map (invariant components are exactly unions of
-cycles), read from the system's cleared-integer structural view, and where
-the criterion quantifies over components, also by an exhaustive route that
-discharges the quantifier literally under the brute-force cap.  On a valid
-system all verdicts must coincide; a disagreement would falsify one of the
-equivalences this library exists to exercise, so ``full_report`` surfaces it
-loudly rather than picking a winner.
+Every criterion is decided by a fast route, and where the criterion
+quantifies over components, also by an exhaustive route that discharges the
+quantifier literally under the brute-force cap.  On a valid system every
+criterion holds iff every block is a single cycle of the atom map, so the
+fast routes read that one fact from the system's structural view
+(``split_cycle``) and build their criterion's witness from the first cycle
+that is not all of its block.  The exhaustive routes evaluate the criteria
+themselves, and the tests certify the fast routes against literal rational
+references.  On a valid system all verdicts must coincide; a disagreement
+would falsify one of the equivalences this library exists to exercise, so
+``full_report`` surfaces it loudly rather than picking a winner.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def birkhoff_limit(system: CepsSystem, f: RieszVector) -> RieszVector:
         v = sum((e[i] for i in cyc), Fraction(0)) / len(cyc)
         for i in cyc:
             out[i] = v
-    return RieszVector(out)
+    return _wrap(RieszVector, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -214,51 +217,54 @@ def _first_failure(n: int, failures) -> Optional[Component]:
 class _ClassRow(dict):
     """Pair-identity verdicts of one cycle-count class against others, by class id.
 
-    A lookup of a class not seen yet evaluates the identity and keeps the
-    verdict, so each pair of classes is evaluated at most once.
+    A lookup of a class not seen yet takes the verdict from ``shared``, the
+    verdicts of all rows by unordered class pair, or evaluates the identity
+    (symmetric in the pair) and records it there, so each unordered pair of
+    classes is evaluated once.
     """
 
-    def __init__(self, view, counts, p_class: int):
+    def __init__(self, view, counts, shared: dict, p_class: int):
         super().__init__()
-        self.view, self.counts, self.p_counts = view, counts, counts[p_class]
+        self.view, self.counts, self.shared, self.p_class = view, counts, shared, p_class
 
     def __missing__(self, q_class: int) -> bool:
-        ok = self[q_class] = self.view.correlation_pair_holds(self.p_counts, self.counts[q_class])
+        p_class = self.p_class
+        pair = (p_class, q_class) if p_class < q_class else (q_class, p_class)
+        ok = self.shared.get(pair)
+        if ok is None:
+            ok = self.shared[pair] = self.view.correlation_pair_holds(self.counts[p_class],
+                                                                      self.counts[q_class])
+        self[q_class] = ok
         return ok
 
 
 # --- The decision procedures ---------------------------------------------------
 #
-# The fast routes evaluate each criterion's own operator identity in the
-# integers of ``system.view`` (weights over a common denominator), and only on
-# the block where the identity can be nonzero: every vector they test is
-# supported inside one block, and both sides of each identity vanish off the
-# blocks that support meets.  Candidates are walked in the same order as the
-# literal routes kept in the tests, so verdicts and lex-first witnesses match.
+# On a valid system (sigma a block-preserving permutation, weights strictly
+# positive and constant on cycles) every criterion holds iff every block is a
+# single cycle.  The fast routes read that fact from ``system.view.split_cycle``:
+# None means ergodic; otherwise it is the first cycle C, by least atom c, that
+# is not all of its block B, and each route returns its criterion's lex-first
+# witness, built from C.  The literal routes kept in the tests evaluate each
+# criterion the direct way and must return the same verdict and witness.
 
 
 def _cycle_indicator(view, ci: int) -> Component:
-    return Component.from_mask(view.n, view.cycle_masks[ci])
+    return Component.from_indices(view.n, view.cycles[ci])
 
 
 def decide_definition(system: CepsSystem) -> Verdict:
     """Invariant vectors are fixed by the averaging operator.
 
-    The minimal invariant components are the cycle indicators of the atom
-    map; the system is ergodic iff each is fixed by the average.  Linearity
-    plus the component reduction carry the verdict to every invariant vector.
+    The minimal invariant components are the cycle indicators; 1_C is fixed
+    iff C is all of its block, since E(1_C) is m_C / W_B < 1 on the block
+    otherwise.  Linearity carries the verdict to every invariant vector.
     """
     system.require_valid()
     view = system.view
-    for ci, c in enumerate(view.cycles):
-        b = view.block_of[c[0]]
-        # E(p) is num/den on p's block b, p is 1 on the cycle, and both vanish
-        # off b.  num == den makes the cycle all of b (weights are strictly
-        # positive), so no atom of b is left where p is 0 and E(p) is not
-        num, den = view.cycle_mass[ci], view.block_weight[b]
-        if num != den:
-            return False, _cycle_indicator(view, ci)
-    return True, None
+    if view.split_cycle is None:
+        return True, None
+    return False, _cycle_indicator(view, view.split_cycle)
 
 
 def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
@@ -266,18 +272,18 @@ def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
     """Components whose image sticks out nowhere must be range members.
 
     The hypothesis "the averaged part of the image lying outside p vanishes"
-    forces p to be invariant (strict positivity), so the fast route scans
-    cycle indicators; the exhaustive route evaluates hypothesis and
-    conclusion for every component under the cap, on all of them at once
-    through per-atom truth tables.
+    forces p to be invariant (strict positivity), so on the fast route the
+    candidates are unions of cycles, and 1_C is a range member iff C is all
+    of its block; the exhaustive route evaluates hypothesis and conclusion
+    for every component under the cap, on all of them at once through
+    per-atom truth tables.
     """
     system.require_valid()
     view = system.view
     if not exhaustive:
-        for ci, p_mask in enumerate(view.cycle_masks):
-            if not view.block_constant(p_mask):
-                return False, _cycle_indicator(view, ci)
-        return True, None
+        if view.split_cycle is None:
+            return True, None
+        return False, _cycle_indicator(view, view.split_cycle)
     n = system.n
     caps.guard("exhaustive component scan", n, cap)
     sigma, blocks = system.koopman.sigma, view.blocks
@@ -299,21 +305,20 @@ def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
                      cap: Optional[int] = None) -> Verdict:
     """The forward orbit of every component joins up to a range member.
 
-    The join distributes over component joins, so the fast route scans
-    singletons only; the exhaustive route iterates image-and-join for every
-    component under the cap, on all of them at once through per-atom truth
-    tables.
+    The join distributes over component joins, so the fast route needs only
+    singletons: the orbit join of e_i is the indicator of i's cycle, a range
+    member iff the cycle is all of its block, so the first singleton to fail
+    is e_c, c the least atom of the first split cycle.  The exhaustive route
+    iterates image-and-join for every component under the cap, on all of
+    them at once through per-atom truth tables.
     """
     system.require_valid()
     n = system.n
     view = system.view
     if not exhaustive:
-        # the atoms of one cycle share one forward orbit, and the least of them
-        # (the cycle's first atom) is the first the singleton scan reaches
-        for c in view.cycles:
-            if not view.block_constant(view.orbit_join(1 << c[0])):
-                return False, basis_vector(n, c[0])
-        return True, None
+        if view.split_cycle is None:
+            return True, None
+        return False, basis_vector(n, view.cycles[view.split_cycle][0])
     caps.guard("exhaustive component scan", n, cap)
     sigma, blocks = system.koopman.sigma, view.blocks
 
@@ -335,20 +340,17 @@ def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
 
 
 def decide_time_average(system: CepsSystem) -> Verdict:
-    """Time averages agree with the conditional averages on the basis."""
+    """Time averages agree with the conditional averages on the basis.
+
+    The time average of e_i is 1/|C| on i's cycle C, its average w_i / W_B
+    on all of i's block B; they agree iff C is all of B, so the first basis
+    vector to fail is e_c, c the least atom of the first split cycle.
+    """
     system.require_valid()
-    n = system.n
     view = system.view
-    wts = view.weights
-    for i in range(n):
-        ci, b = view.cycle_of[i], view.block_of[i]
-        # on block b the time average of e_i is 1/|C| on i's cycle C and 0 on
-        # the rest of b, its average is w_i/W_b throughout; both vanish off b.
-        # Equality on C makes the cycle mass W_b, so C is all of b (weights are
-        # strictly positive) and there is no rest of b to compare
-        if view.block_weight[b] != len(view.cycles[ci]) * wts[i]:
-            return False, basis_vector(n, i)
-    return True, None
+    if view.split_cycle is None:
+        return True, None
+    return False, basis_vector(system.n, view.cycles[view.split_cycle][0])
 
 
 # --- Correlation criteria -------------------------------------------------------
@@ -371,104 +373,75 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
                        cap: Optional[int] = None) -> Verdict:
     """Averaged products decouple in the limit: the criterion family.
 
-    Pair variants quantify over all (f, g); bilinearity reduces them to the
-    standard basis.  The diagonal variant is a quadratic form, decided by
-    polarization on the basis plus all pairwise sums.  Component variants
-    scan cycle indicators on the fast route -- any failure shows up on a
-    cycle indicator -- and every component (pair) on the exhaustive route,
-    evaluating the identity once per pair of cycle-count classes.
+    The identity is limit(f, g) = E(f) E(g), with limit(f, g) the average of
+    f times the time average of g.  Pair variants quantify over all (f, g),
+    which bilinearity reduces to the standard basis; the diagonal variants
+    take f = g; component variants take indicators.  Both sides vanish
+    across blocks.  On the fast route, with C the first split cycle, c its
+    least atom and B its block, C is B's first cycle and c is min B:
 
-    The fast routes evaluate the identity limit(f, g) = E(f) E(g) in the
-    integers of the system's structural view (both sides scaled by the cycle
-    lcm and the squared block weight), on the one block where it can be
-    nonzero.  Across blocks both sides are 0: the time average of a vector
-    stays on its own cycles, and averages of vectors on different blocks
-    have disjoint supports.  So pair routes pair i only with the atoms of
-    its own block.  The diagonal route needs only the basis: the identity at
-    e_i holds iff i's cycle carries its block's whole mass, so once every
-    basis vector passes every block is one cycle and every pairwise sum
-    passes too.  ``full_report`` records the
-    bounded-pairs verdict under "corr-ideal-pairs" too (the two quantifiers
-    coincide in finite dimensions); asked for by name, "corr-ideal-pairs"
-    runs on its own.
+    - pairs and diagonal: limit(e_c, e_c) is w_c / (|C| W_B) on B, and
+      E(e_c)^2 is w_c^2 / W_B^2; they agree iff C carries all of B's mass.
+      Every atom before c lies on a block that is one cycle, where every
+      pair passes, so (e_c, e_c) is the first failing pair;
+    - component pairs and diagonal components: limit(1_C, 1_C) is m_C / W_B
+      on B, with m_C the cycle mass, against m_C^2 / W_B^2, and cycles
+      before C are whole blocks, so (1_C, 1_C) is the first to fail.
+
+    When every block is one cycle all of these hold, on every pair.  The
+    exhaustive routes scan every component (pair) under the cap, evaluating
+    the identity once per unordered pair of cycle-count classes.
+    ``full_report`` records the bounded-pairs verdict under
+    "corr-ideal-pairs" too (the two quantifiers coincide in finite
+    dimensions); asked for by name, "corr-ideal-pairs" runs on its own.
     """
     system.require_valid()
     if variant not in CORRELATION_VARIANTS:
         raise ValueError(f"unknown correlation variant {variant!r}")
     n = system.n
     view = system.view
-    wts, lcm = view.weights, view.cycle_lcm
 
-    if variant in ("corr-bounded-pairs", "corr-ideal-pairs"):
-        for i in range(n):
-            b, ci = view.block_of[i], view.cycle_of[i]
-            # limit(e_i, e_j) is w_i / (|C_i| W_b) on b when j is on i's cycle
-            # C_i, else 0; E(e_i) E(e_j) is w_i w_j / W_b^2 on b
-            same_cycle = view.block_weight[b] * wts[i] * view.cycle_step[ci]
-            scale = lcm * wts[i]
-            for j in view.blocks[b]:  # for j off b both sides are 0
-                if (same_cycle if view.cycle_of[j] == ci else 0) != scale * wts[j]:
-                    return False, (basis_vector(n, i), basis_vector(n, j))
-        return True, None
-
-    if variant == "corr-diagonal":
-        for i in range(n):
-            b, ci = view.block_of[i], view.cycle_of[i]
-            if view.block_weight[b] * wts[i] * view.cycle_step[ci] != lcm * wts[i] * wts[i]:
-                ei = basis_vector(n, i)
-                return False, (ei, ei)
-        # every basis vector passed, so every block is one cycle (the identity
-        # at e_i makes i's cycle mass W_b) and every pair identity holds
-        return True, None
-
-    if variant == "corr-component-pairs":
-        if not exhaustive:
-            for ci, c in enumerate(view.cycles):
-                b = view.block_of[c[0]]
-                # limit(1_C, 1_D) = E(1_C 1_D) is m_C / W_b on b iff D = C, else 0;
-                # E(1_C) E(1_D) is m_C m_D / W_b^2 on b, with m the cycle mass
-                mass = view.cycle_mass[ci]
-                for di in view.cycles_in_block[b]:
-                    if (mass * view.block_weight[b] if di == ci else 0) != mass * view.cycle_mass[di]:
-                        return False, (_cycle_indicator(view, ci), _cycle_indicator(view, di))
-            return True, None
+    if exhaustive and variant == "corr-component-pairs":
         caps.guard("exhaustive component-pair scan", 2 * n, cap)
         masks = list(_lex_masks(n))
         # the identity reads only per-cycle counts, so masks with equal counts
-        # share a class id and each pair of classes is evaluated once
+        # share a class id and each unordered pair of classes is evaluated once
         class_ids: dict[tuple[int, ...], int] = {}
         classes = [class_ids.setdefault(tuple(view.cycle_counts(m)), len(class_ids)) for m in masks]
         counts = list(class_ids)
+        shared: dict[tuple[int, int], bool] = {}
         rows: dict[int, _ClassRow] = {}
         for pi, cp in enumerate(classes):
             row = rows.get(cp)
             if row is None:
-                row = rows[cp] = _ClassRow(view, counts, cp)
+                row = rows[cp] = _ClassRow(view, counts, shared, cp)
             later = classes[pi:]  # the cleared identity is symmetric in (p, q)
             if not all(map(row.__getitem__, later)):
                 qi = pi + [row[cq] for cq in later].index(False)
                 return False, (Component.from_mask(n, masks[pi]), Component.from_mask(n, masks[qi]))
         return True, None
 
-    # corr-diagonal-components
-    if not exhaustive:
-        for ci, c in enumerate(view.cycles):
-            mass = view.cycle_mass[ci]
-            if mass * view.block_weight[view.block_of[c[0]]] != mass * mass:
-                p = _cycle_indicator(view, ci)
+    if exhaustive and variant == "corr-diagonal-components":
+        caps.guard("exhaustive component scan", n, cap)
+        verdicts: dict[tuple[int, ...], bool] = {}  # by cycle-count class, as for pairs
+        for p_mask in _lex_masks(n):
+            cp = tuple(view.cycle_counts(p_mask))
+            ok = verdicts.get(cp)
+            if ok is None:
+                ok = verdicts[cp] = view.correlation_pair_holds(cp, cp)
+            if not ok:
+                p = Component.from_mask(n, p_mask)
                 return False, (p, p)
         return True, None
-    caps.guard("exhaustive component scan", n, cap)
-    verdicts: dict[tuple[int, ...], bool] = {}  # by cycle-count class, as for pairs
-    for p_mask in _lex_masks(n):
-        cp = tuple(view.cycle_counts(p_mask))
-        ok = verdicts.get(cp)
-        if ok is None:
-            ok = verdicts[cp] = view.correlation_pair_holds(cp, cp)
-        if not ok:
-            p = Component.from_mask(n, p_mask)
-            return False, (p, p)
-    return True, None
+
+    ci = view.split_cycle
+    if ci is None:
+        return True, None
+    if variant in ("corr-component-pairs", "corr-diagonal-components"):
+        p = _cycle_indicator(view, ci)
+        return False, (p, p)
+    ec = basis_vector(n, view.cycles[ci][0])
+    return False, (ec, ec)
 
 
 # --- Norm preservation -----------------------------------------------------------

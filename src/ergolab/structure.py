@@ -2,11 +2,16 @@
 
 A valid system is built from a block-preserving permutation with weights
 constant along its cycles.  The view records that structure once, in O(n),
-when the system is constructed: cycles and blocks with their membership maps
-and bitmasks (bit i is atom i), and the weights scaled by their common
-denominator so that every weight, cycle mass and block mass is an integer.
-The fast deciders and the mask scans in ``ergodicity`` evaluate their
-operator identities on it in integer arithmetic.
+when the system is constructed: cycles and blocks with their membership
+maps, and the weights scaled by their common denominator so that every
+weight and block mass is an integer.
+
+It also records the one fact every fast decider reads: the first cycle, by
+least atom, that is not all of its block (``split_cycle``).  On a valid
+system each of the nine criteria holds iff every block is a single cycle,
+and fails on a witness built from that cycle.  The exhaustive component
+scans in ``ergodicity`` read the rest: per-cycle counts of a mask and the
+correlation identity in integer arithmetic.
 
 ``validate_system`` and the oracle never read the view: validation
 certifies the structure the view records, and the oracle re-derives every
@@ -26,13 +31,10 @@ if TYPE_CHECKING:
 class StructuralView:
     """Cycles, blocks and integer weights of one valid system; immutable by convention."""
 
-    __slots__ = ("n", "blocks", "block_of", "block_masks", "block_weight", "weights",
-                 "cycles", "cycle_of", "cycle_masks", "cycle_mass", "cycle_weight",
-                 "cycle_lcm", "cycle_step", "cycle_factor", "cycles_in_block",
-                 "preimage_masks")
+    __slots__ = ("n", "blocks", "block_weight", "weights", "cycles", "cycle_of", "cycle_weight",
+                 "cycle_lcm", "cycle_factor", "cycles_in_block", "split_cycle")
 
-    def __init__(self, expectation: "ConditionalExpectation", sigma: tuple[int, ...],
-                 cycles: tuple[tuple[int, ...], ...]):
+    def __init__(self, expectation: "ConditionalExpectation", cycles: tuple[tuple[int, ...], ...]):
         n = expectation.n
         wts = expectation.cleared_weights
         blocks = expectation.blocks
@@ -45,56 +47,22 @@ class StructuralView:
                 cycle_of[i] = ci
             cycles_in_block[block_of[c[0]]].append(ci)
             lcm = lcm * len(c) // math.gcd(lcm, len(c))
-        pre = [0] * n
-        for i, j in enumerate(sigma):
-            pre[j] |= 1 << i
 
         self.n = n
         self.weights = wts  # weight of atom i times the common denominator
         self.blocks = blocks
-        self.block_of = block_of
-        self.block_masks = tuple(sum(1 << i for i in b) for b in blocks)
         self.block_weight = tuple(sum(wts[i] for i in b) for b in blocks)
         self.cycles = cycles
         self.cycle_of = tuple(cycle_of)
-        self.cycle_masks = tuple(sum(1 << i for i in c) for c in cycles)
-        self.cycle_mass = tuple(sum(wts[i] for i in c) for c in cycles)
         self.cycle_weight = tuple(wts[c[0]] for c in cycles)
         self.cycle_lcm = lcm
-        self.cycle_step = tuple(lcm // len(c) for c in cycles)
-        self.cycle_factor = tuple(w * s for w, s in zip(self.cycle_weight, self.cycle_step))
+        self.cycle_factor = tuple(wts[c[0]] * (lcm // len(c)) for c in cycles)
         self.cycles_in_block = tuple(tuple(ids) for ids in cycles_in_block)
-        self.preimage_masks = tuple(pre)
-
-    def image_mask(self, mask: int) -> int:
-        """Mask of the composition image: bit i set iff sigma(i) is in ``mask``."""
-        out = 0
-        m = mask
-        pre = self.preimage_masks
-        while m:
-            low = m & -m
-            out |= pre[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    def orbit_join(self, mask: int) -> int:
-        """Join of all forward images of ``mask``, iterated until a round adds nothing."""
-        join = 0
-        cur = mask
-        while True:
-            cur = self.image_mask(cur)
-            grown = join | cur
-            if grown == join:
-                return join
-            join = grown
-
-    def block_constant(self, mask: int) -> bool:
-        """Literal range-membership test: the mask meets each block in nothing or all."""
-        for bm in self.block_masks:
-            hit = mask & bm
-            if hit and hit != bm:
-                return False
-        return True
+        # the first cycle of the first block that holds more than one, or None
+        # iff every block is one cycle.  Blocks and their cycles are ordered by
+        # least atom, so this is the first cycle, by least atom, that is not
+        # all of its block, and its least atom is also its block's least atom
+        self.split_cycle = next((ids[0] for ids in cycles_in_block if len(ids) != 1), None)
 
     def cycle_counts(self, mask: int) -> list[int]:
         counts = [0] * len(self.cycles)

@@ -174,7 +174,7 @@ class CepsSystem:
         object.__setattr__(self, "_report", report)
         cycles = koopman.cycles() if koopman.is_permutation() else None
         object.__setattr__(self, "_cycles", cycles)
-        view = StructuralView(expectation, koopman.sigma, cycles) if report.passed else None
+        view = StructuralView(expectation, cycles) if report.passed else None
         object.__setattr__(self, "_view", view)
 
     @classmethod

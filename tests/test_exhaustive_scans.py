@@ -3,17 +3,20 @@
 The digest pins every verdict and the lex-first order of every witness on a
 fixed seeded corpus, so any change to either fails loudly.  The reach tests
 run the bit-sliced scans at the default cap, check that the cap refuses a
-scan before any truth table exists, and bound the memory a scan holds.
+scan before any truth table exists, bound the memory a scan holds, and count
+the identity evaluations of the component-pair scan.
 """
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import pytest
 
 import ergolab as E
 from ergolab import ergodicity
+from ergolab.structure import StructuralView
 
 from conftest import one_cycle_per_block
 from test_literal_routes import literal_absorbing_scan, literal_sweep_out_scan
@@ -78,3 +81,22 @@ def test_slices_bound_the_memory_of_a_scan():
         tracemalloc.stop()
     assert ok and witness is None
     assert peak < 4 * 2 ** 20
+
+
+def test_the_pair_scan_evaluates_each_unordered_class_pair_once(monkeypatch):
+    """Ergodic, so the scan visits every mask pair p <= q; the identity reads
+    only per-cycle counts and is symmetric, so one evaluation per unordered
+    pair of the prod(|C| + 1) count classes is all it needs."""
+    system = one_cycle_per_block(9, 4, seed=9)
+    holds = StructuralView.correlation_pair_holds
+    calls = []
+
+    def counted(view, counts_p, counts_q):
+        calls.append(frozenset((tuple(counts_p), tuple(counts_q))))
+        return holds(view, counts_p, counts_q)
+
+    monkeypatch.setattr(StructuralView, "correlation_pair_holds", counted)
+    assert E.decide_correlation(system, "corr-component-pairs", exhaustive=True, cap=18) == (True, None)
+    classes = math.prod(len(c) + 1 for c in system.cycles)
+    assert len(set(calls)) == classes * (classes + 1) // 2
+    assert len(calls) == len(set(calls))

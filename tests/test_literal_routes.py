@@ -176,15 +176,60 @@ def lex_masks(n):
         yield int(format(k, f"0{n}b")[::-1], 2)
 
 
-def average_is_zero(view, mask):
+def block_masks(system):
+    return [sum(1 << i for i in b) for b in system.expectation.blocks]
+
+
+def preimage_masks(system):
+    """Bit i of entry j is set iff sigma(i) == j."""
+    pre = [0] * system.n
+    for i, j in enumerate(system.koopman.sigma):
+        pre[j] |= 1 << i
+    return pre
+
+
+def image_mask(pre, mask):
+    """Mask of the composition image: bit i set iff sigma(i) is in ``mask``."""
+    out = 0
+    m = mask
+    while m:
+        low = m & -m
+        out |= pre[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+def orbit_join(pre, mask):
+    """Join of all forward images of ``mask``, iterated until a round adds nothing."""
+    join = 0
+    cur = mask
+    while True:
+        cur = image_mask(pre, cur)
+        grown = join | cur
+        if grown == join:
+            return join
+        join = grown
+
+
+def block_constant(bms, mask):
+    """Literal range-membership test: the mask meets each block in nothing or all."""
+    for bm in bms:
+        hit = mask & bm
+        if hit and hit != bm:
+            return False
+    return True
+
+
+def average_is_zero(system, bms, mask):
     """Whether the averaged indicator of ``mask`` is the zero vector: the
     weighted count of the mask in every block is compared with zero."""
-    for bm in view.block_masks:
+    weights = system.expectation.cleared_weights
+    for bm in bms:
         m = mask & bm
         num = 0
         while m:
             low = m & -m
-            num += view.weights[low.bit_length() - 1]
+            num += weights[low.bit_length() - 1]
             m ^= low
         if num != 0:
             return False
@@ -192,18 +237,18 @@ def average_is_zero(view, mask):
 
 
 def literal_absorbing_scan(system):
-    n, view = system.n, system.view
+    n, bms, pre = system.n, block_masks(system), preimage_masks(system)
     for p_mask in lex_masks(n):
-        outside = view.image_mask(p_mask) & ~p_mask
-        if average_is_zero(view, outside) and not view.block_constant(p_mask):
+        outside = image_mask(pre, p_mask) & ~p_mask
+        if average_is_zero(system, bms, outside) and not block_constant(bms, p_mask):
             return False, E.Component.from_mask(n, p_mask)
     return True, None
 
 
 def literal_sweep_out_scan(system):
-    n, view = system.n, system.view
+    n, bms, pre = system.n, block_masks(system), preimage_masks(system)
     for p_mask in lex_masks(n):
-        if not view.block_constant(view.orbit_join(p_mask)):
+        if not block_constant(bms, orbit_join(pre, p_mask)):
             return False, E.Component.from_mask(n, p_mask)
     return True, None
 

@@ -308,10 +308,10 @@ def test_structural_view_clears_denominators():
                                      [[0, 1], [2, 3]], [1, 0, 3, 2])
     view = system.view
     assert view.weights == (1, 1, 2, 2)
-    assert view.block_weight == (2, 4) and view.block_masks == (0b0011, 0b1100)
+    assert view.block_weight == (2, 4)
     assert view.cycles == ((0, 1), (2, 3)) and view.cycle_of == (0, 0, 1, 1)
-    assert view.cycle_mass == (2, 4) and view.cycle_lcm == 2 and view.cycle_step == (1, 1)
-    assert view.cycles_in_block == ((0,), (1,))
+    assert view.cycle_weight == (1, 2) and view.cycle_lcm == 2 and view.cycle_factor == (1, 2)
+    assert view.cycles_in_block == ((0,), (1,)) and view.split_cycle is None
 
 
 def test_invalid_system_has_no_structural_view():

@@ -3,9 +3,10 @@
 Public constructors coerce every entry to a ``Fraction`` and refuse inexact
 input; results the kernel computes itself skip that coercion.  The tests here
 pin down what the skip relies on: every result still holds only ``Fraction``
-entries (0/1 ones for components), and the integer form of ``check_isometry``
-returns exactly what the literal operator comparison returns, on valid and
-on broken systems alike.
+entries (0/1 ones for components), the exact limits never re-coerce what
+they computed, and the integer form of ``check_isometry`` returns exactly
+what the literal operator comparison returns, on valid and on broken
+systems alike.
 """
 
 import math
@@ -61,6 +62,23 @@ def test_component_operations_stay_zero_one(n, data):
         assert is_trusted_component(v), v
     # mixing in a non-component, or leaving the 0/1 range, gives a plain vector
     for v in (p * f, f * p, p.sup(f), p + q, p - q, -p, abs(p), p.power(2), 2 * p, p / 2):
+        assert is_trusted_vector(v), v
+
+
+@given(systems(max_n=7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_limits_return_fraction_entries_without_coercion(system, data):
+    f = data.draw(vectors(system.n))
+    g = data.draw(st.one_of(vectors(system.n), components(system.n)))
+
+    def coerce(self, entries):
+        raise AssertionError("a kernel result was re-coerced")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(E.RieszVector, "__init__", coerce)
+        results = (E.birkhoff_limit(system, f), E.birkhoff_limit(system, g),
+                   E.correlation_limit(system, f, g), E.correlation_limit(system, g, g))
+    for v in results:
         assert is_trusted_vector(v), v
 
 
