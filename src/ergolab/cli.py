@@ -239,6 +239,11 @@ def _float_rows(system, f, grid, against):
     return rows
 
 
+def _unwritable(exc: Exception) -> int:
+    print(f"error: cannot write the table: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_converge(args) -> int:
     system = _load(args.path)
     if system is None:
@@ -254,22 +259,29 @@ def cmd_converge(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = (_float_rows if args.float else _exact_rows)(system, f, grid, against)
-    if args.emit == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "sup_error", "bound", "within_bound"])
-        for n, err, bound, ok in rows:
-            writer.writerow([n, str(err), str(bound), "true" if ok else "false"])
-        sys.stdout.write(buf.getvalue())
+    # a value past a float's range (OverflowError) or past the interpreter's
+    # int digit limit (ValueError) stops the table before any of it is written;
+    # only the float conversions and the writing raise them, not the exact rows
+    if args.float:
+        try:
+            rows = _float_rows(system, f, grid, against)
+        except OverflowError as exc:
+            return _unwritable(exc)
     else:
-        if args.float:
-            body = [{"n": n, "sup_error": err, "bound": bound, "within_bound": ok}
-                    for n, err, bound, ok in rows]
+        rows = _exact_rows(system, f, grid, against)
+    try:
+        if args.emit == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["n", "sup_error", "bound", "within_bound"])
+            writer.writerows([n, err, bound, "true" if ok else "false"] for n, err, bound, ok in rows)
+            sys.stdout.write(buf.getvalue())
         else:
-            body = [{"n": n, "sup_error": fraction_to_json(err), "bound": fraction_to_json(bound),
-                     "within_bound": ok} for n, err, bound, ok in rows]
-        _emit({"rows": body}, args.pretty)
+            cell = float if args.float else fraction_to_json
+            _emit({"rows": [{"n": n, "sup_error": cell(err), "bound": cell(bound), "within_bound": ok}
+                            for n, err, bound, ok in rows]}, args.pretty)
+    except (OverflowError, ValueError) as exc:
+        return _unwritable(exc)
     return 0 if all(ok for *_, ok in rows) else 1
 
 

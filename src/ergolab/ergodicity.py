@@ -4,13 +4,14 @@ Every criterion is decided by a fast route, and where the criterion
 quantifies over components, also by an exhaustive route that discharges the
 quantifier literally under the brute-force cap.  On a valid system every
 criterion holds iff every block is a single cycle of the atom map, so the
-fast routes read that one fact from the system's structural view
-(``split_cycle``) and build their criterion's witness from the first cycle
-that is not all of its block.  The exhaustive routes evaluate the criteria
-themselves, and the tests certify the fast routes against literal rational
-references.  On a valid system all verdicts must coincide; a disagreement
-would falsify one of the equivalences this library exists to exercise, so
-``full_report`` surfaces it loudly rather than picking a winner.
+fast routes read that one fact from the system (``CepsSystem.split_cycle``)
+and build their criterion's witness from the first cycle that is not all of
+its block.  The exhaustive routes evaluate the criteria themselves, from the
+operators' blocks, cycles and cleared weights, and the tests certify both
+kinds of route against literal rational references.  On a valid system all
+verdicts must coincide; a disagreement would falsify one of the equivalences
+this library exists to exercise, so ``full_report`` surfaces it loudly
+rather than picking a winner.
 """
 
 from __future__ import annotations
@@ -148,9 +149,9 @@ def orbit_join(system: CepsSystem, p: Component) -> Component:
 #
 # Exhaustive scans enumerate bitmask components in lexicographic entry order
 # (atom 0 most significant), matching the oracle enumeration: the k-th mask
-# holds atom i iff bit n-1-i of k is set.  They read the system's
-# cleared-integer view, so per-component equality tests run in exact integer
-# arithmetic; tests certify these against the literal per-mask scans on small
+# holds atom i iff bit n-1-i of k is set.  Per-component equality tests run
+# in exact integer arithmetic on the blocks, the cycles and the cleared
+# weights; tests certify these against the literal per-mask scans on small
 # atom counts.
 #
 # The absorbing and sweep-out scans are bit-sliced: each atom gets a truth
@@ -163,16 +164,16 @@ def orbit_join(system: CepsSystem, p: Component) -> Component:
 _SLICE_LOG = 16
 
 
-def _lex_masks(n: int):
-    for k in range(1 << n):
-        yield int(format(k, f"0{n}b")[::-1], 2)
+def _lex_component(n: int, k: int) -> Component:
+    """The k-th component in lex order."""
+    return Component.from_bits(format(k, f"0{n}b"))
 
 
 def _lex_tables(n: int):
     """Per-atom truth tables over the lex-ordered masks, one slice at a time.
 
-    Yields ``(first, tables)`` for consecutive slices of ``_lex_masks(n)``;
-    bit k of ``tables[i]`` is set iff atom i is in mask number first + k,
+    Yields ``(first, tables)`` for consecutive slices of the lex order; bit
+    k of ``tables[i]`` is set iff atom i is in mask number first + k,
     that is iff bit n-1-i of first + k is set.
     """
     w = min(n, _SLICE_LOG)
@@ -210,8 +211,47 @@ def _first_failure(n: int, failures) -> Optional[Component]:
     for first, tables in _lex_tables(n):
         fail = failures(tables)
         if fail:
-            return Component.from_bits(format(first + (fail & -fail).bit_length() - 1, f"0{n}b"))
+            return _lex_component(n, first + (fail & -fail).bit_length() - 1)
     return None
+
+
+# The component scans test the correlation identity on indicators.  It reads
+# a component only through its count of atoms on each cycle, so the scans
+# walk the lex-ordered components by cycle-count class and evaluate the
+# identity once per unordered pair of classes.  The memo's classes are
+# defined at module level and no row refers back to the table of rows: a
+# class or closure made per call, or such a back reference, puts each scan's
+# memo in a reference cycle that lives until a full garbage collection.
+
+
+def _pair_holds(identity, counts_p: tuple[int, ...], counts_q: tuple[int, ...]) -> bool:
+    """Exact test: averaged-product limit equals the product of the averages.
+
+    Per block B, both sides are cleared by the cycle lcm and the squared
+    block weight, leaving the integer identity
+
+        W_B * sum_C  w_C (lcm/len C) a_C b_C  ==  lcm * P_B(p) * P_B(q)
+
+    with a_C, b_C the atom counts of the components on the cycle C, w_C the
+    cleared weight of C's atoms, W_B the cleared block weight and P_B the
+    weighted count of the component in the block.  ``identity`` is
+    ``(lcm, blocks)``, each block ``(W_B, ((C, w_C, w_C * lcm / len C), ...))``.
+    """
+    lcm, blocks = identity
+    for block_weight, terms in blocks:
+        lhs = p_tot = q_tot = 0
+        for ci, weight, factor in terms:
+            a = counts_p[ci]
+            b = counts_q[ci]
+            if a:
+                p_tot += weight * a
+                if b:
+                    lhs += factor * a * b
+            if b:
+                q_tot += weight * b
+        if block_weight * lhs != lcm * p_tot * q_tot:
+            return False
+    return True
 
 
 class _ClassRow(dict):
@@ -223,34 +263,71 @@ class _ClassRow(dict):
     classes is evaluated once.
     """
 
-    def __init__(self, view, counts, shared: dict, p_class: int):
+    def __init__(self, identity, counts, shared: dict, p_class: int):
         super().__init__()
-        self.view, self.counts, self.shared, self.p_class = view, counts, shared, p_class
+        self.identity, self.counts, self.shared, self.p_class = identity, counts, shared, p_class
 
     def __missing__(self, q_class: int) -> bool:
         p_class = self.p_class
         pair = (p_class, q_class) if p_class < q_class else (q_class, p_class)
         ok = self.shared.get(pair)
         if ok is None:
-            ok = self.shared[pair] = self.view.correlation_pair_holds(self.counts[p_class],
-                                                                      self.counts[q_class])
+            ok = self.shared[pair] = _pair_holds(self.identity, self.counts[p_class],
+                                                 self.counts[q_class])
         self[q_class] = ok
         return ok
+
+
+class _CountClasses(dict):
+    """The cycle-count classes of one system's components, with their pair rows.
+
+    ``walk()`` yields the class id of each lex-ordered component, in order,
+    numbering classes as they first appear, and ``self[p][q]`` says whether
+    the correlation identity holds between components of classes p and q;
+    each row is made on first lookup.  Built once per scan.
+    """
+
+    def __init__(self, system: CepsSystem):
+        super().__init__()
+        exp, cycles, n = system.expectation, system.cycles, system.n
+        wts = exp.cleared_weights
+        lcm = math.lcm(*map(len, cycles))
+        terms: list[list[tuple[int, int, int]]] = [[] for _ in exp.blocks]
+        for ci, c in enumerate(cycles):
+            terms[exp.block_of[c[0]]].append((ci, wts[c[0]], wts[c[0]] * (lcm // len(c))))
+        self.identity = (lcm, tuple((sum(wts[i] for i in b), tuple(t))
+                                    for b, t in zip(exp.blocks, terms)))
+        self.n = n
+        # each cycle's atoms as bits of a lex index, where bit n-1-i is atom i
+        self.cycle_bits = [sum(1 << (n - 1 - i) for i in c) for c in cycles]
+        self.counts: list[tuple[int, ...]] = []  # the per-cycle counts of each class
+        self.shared: dict[tuple[int, int], bool] = {}
+
+    def walk(self):
+        ids: dict[tuple[int, ...], int] = {}
+        cycle_bits, counts = self.cycle_bits, self.counts
+        for k in range(1 << self.n):
+            key = tuple([(k & bits).bit_count() for bits in cycle_bits])
+            class_id = ids.get(key)
+            if class_id is None:
+                class_id = ids[key] = len(counts)
+                counts.append(key)
+            yield class_id
+
+    def __missing__(self, p_class: int) -> _ClassRow:
+        row = self[p_class] = _ClassRow(self.identity, self.counts, self.shared, p_class)
+        return row
 
 
 # --- The decision procedures ---------------------------------------------------
 #
 # On a valid system (sigma a block-preserving permutation, weights strictly
 # positive and constant on cycles) every criterion holds iff every block is a
-# single cycle.  The fast routes read that fact from ``system.view.split_cycle``:
+# single cycle.  The fast routes read that fact from ``system.split_cycle``:
 # None means ergodic; otherwise it is the first cycle C, by least atom c, that
 # is not all of its block B, and each route returns its criterion's lex-first
 # witness, built from C.  The literal routes kept in the tests evaluate each
 # criterion the direct way and must return the same verdict and witness.
-
-
-def _cycle_indicator(view, ci: int) -> Component:
-    return Component.from_indices(view.n, view.cycles[ci])
 
 
 def decide_definition(system: CepsSystem) -> Verdict:
@@ -260,11 +337,10 @@ def decide_definition(system: CepsSystem) -> Verdict:
     iff C is all of its block, since E(1_C) is m_C / W_B < 1 on the block
     otherwise.  Linearity carries the verdict to every invariant vector.
     """
-    system.require_valid()
-    view = system.view
-    if view.split_cycle is None:
+    split = system.split_cycle
+    if split is None:
         return True, None
-    return False, _cycle_indicator(view, view.split_cycle)
+    return False, Component.from_indices(system.n, split)
 
 
 def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
@@ -278,15 +354,14 @@ def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
     for every component under the cap, on all of them at once through
     per-atom truth tables.
     """
-    system.require_valid()
-    view = system.view
-    if not exhaustive:
-        if view.split_cycle is None:
-            return True, None
-        return False, _cycle_indicator(view, view.split_cycle)
+    split = system.split_cycle
     n = system.n
+    if not exhaustive:
+        if split is None:
+            return True, None
+        return False, Component.from_indices(n, split)
     caps.guard("exhaustive component scan", n, cap)
-    sigma, blocks = system.koopman.sigma, view.blocks
+    sigma, blocks = system.koopman.sigma, system.expectation.blocks
 
     def failures(tables):
         # the image of p holds atom i iff p holds sigma(i), so its tables are
@@ -312,15 +387,14 @@ def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
     iterates image-and-join for every component under the cap, on all of
     them at once through per-atom truth tables.
     """
-    system.require_valid()
+    split = system.split_cycle
     n = system.n
-    view = system.view
     if not exhaustive:
-        if view.split_cycle is None:
+        if split is None:
             return True, None
-        return False, basis_vector(n, view.cycles[view.split_cycle][0])
+        return False, basis_vector(n, split[0])
     caps.guard("exhaustive component scan", n, cap)
-    sigma, blocks = system.koopman.sigma, view.blocks
+    sigma, blocks = system.koopman.sigma, system.expectation.blocks
 
     def failures(tables):
         # image-and-join on every mask at once, until no table grows: a mask
@@ -346,11 +420,10 @@ def decide_time_average(system: CepsSystem) -> Verdict:
     on all of i's block B; they agree iff C is all of B, so the first basis
     vector to fail is e_c, c the least atom of the first split cycle.
     """
-    system.require_valid()
-    view = system.view
-    if view.split_cycle is None:
+    split = system.split_cycle
+    if split is None:
         return True, None
-    return False, basis_vector(system.n, view.cycles[view.split_cycle][0])
+    return False, basis_vector(system.n, split[0])
 
 
 # --- Correlation criteria -------------------------------------------------------
@@ -395,52 +468,35 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
     "corr-ideal-pairs" too (the two quantifiers coincide in finite
     dimensions); asked for by name, "corr-ideal-pairs" runs on its own.
     """
-    system.require_valid()
+    split = system.split_cycle
     if variant not in CORRELATION_VARIANTS:
         raise ValueError(f"unknown correlation variant {variant!r}")
     n = system.n
-    view = system.view
+    components = variant in ("corr-component-pairs", "corr-diagonal-components")
 
-    if exhaustive and variant == "corr-component-pairs":
-        caps.guard("exhaustive component-pair scan", 2 * n, cap)
-        masks = list(_lex_masks(n))
-        # the identity reads only per-cycle counts, so masks with equal counts
-        # share a class id and each unordered pair of classes is evaluated once
-        class_ids: dict[tuple[int, ...], int] = {}
-        classes = [class_ids.setdefault(tuple(view.cycle_counts(m)), len(class_ids)) for m in masks]
-        counts = list(class_ids)
-        shared: dict[tuple[int, int], bool] = {}
-        rows: dict[int, _ClassRow] = {}
+    if exhaustive and components:
+        pairs = variant == "corr-component-pairs"
+        if pairs:
+            caps.guard("exhaustive component-pair scan", 2 * n, cap)
+        else:
+            caps.guard("exhaustive component scan", n, cap)
+        rows = _CountClasses(system)
+        classes = list(rows.walk()) if pairs else rows.walk()
         for pi, cp in enumerate(classes):
-            row = rows.get(cp)
-            if row is None:
-                row = rows[cp] = _ClassRow(view, counts, shared, cp)
-            later = classes[pi:]  # the cleared identity is symmetric in (p, q)
+            row = rows[cp]
+            # the cleared identity is symmetric in (p, q); the diagonal takes q = p
+            later = classes[pi:] if pairs else (cp,)
             if not all(map(row.__getitem__, later)):
                 qi = pi + [row[cq] for cq in later].index(False)
-                return False, (Component.from_mask(n, masks[pi]), Component.from_mask(n, masks[qi]))
+                return False, (_lex_component(n, pi), _lex_component(n, qi))
         return True, None
 
-    if exhaustive and variant == "corr-diagonal-components":
-        caps.guard("exhaustive component scan", n, cap)
-        verdicts: dict[tuple[int, ...], bool] = {}  # by cycle-count class, as for pairs
-        for p_mask in _lex_masks(n):
-            cp = tuple(view.cycle_counts(p_mask))
-            ok = verdicts.get(cp)
-            if ok is None:
-                ok = verdicts[cp] = view.correlation_pair_holds(cp, cp)
-            if not ok:
-                p = Component.from_mask(n, p_mask)
-                return False, (p, p)
+    if split is None:
         return True, None
-
-    ci = view.split_cycle
-    if ci is None:
-        return True, None
-    if variant in ("corr-component-pairs", "corr-diagonal-components"):
-        p = _cycle_indicator(view, ci)
+    if components:
+        p = Component.from_indices(n, split)
         return False, (p, p)
-    ec = basis_vector(n, view.cycles[ci][0])
+    ec = basis_vector(n, split[0])
     return False, (ec, ec)
 
 
@@ -460,8 +516,8 @@ def check_isometry(system: CepsSystem, x: RieszVector, q) -> bool:
 
     with W the cleared weights and X = D x.  q = inf compares, per block, the
     maxima of |X_sigma(i)| and |X_i| directly: they are D times the values
-    the two sup profiles hold there.  Reads the operators, not the structural
-    view, so it runs on unvalidated systems too, where it is allowed to fail
+    the two sup profiles hold there.  Reads the operators, not the split
+    cycle, so it runs on unvalidated systems too, where it is allowed to fail
     (that failure is what proves the check has teeth).
     """
     exp = system.expectation
@@ -551,11 +607,11 @@ def full_report(system: CepsSystem, exhaustive: bool = False,
     Agreement across all criteria is the executable content of the
     equivalence theorems; ``exhaustive`` switches the component-quantified
     criteria to their literal scans (cap permitting).  The fast routes read
-    the system's structural view and evaluate each identity only within
-    blocks (see ``decide_correlation``).  The pair decider runs once: in
-    finite dimensions the ideal of the unit is the whole space, so its
-    verdict and witness are recorded under both "corr-bounded-pairs" and
-    "corr-ideal-pairs".
+    only the system's split cycle, and the exhaustive ones evaluate each
+    identity within blocks (see ``decide_correlation``).  The pair decider
+    runs once: in finite dimensions the ideal of the unit is the whole
+    space, so its verdict and witness are recorded under both
+    "corr-bounded-pairs" and "corr-ideal-pairs".
     """
     system.require_valid()
     results: dict[str, Verdict] = {}

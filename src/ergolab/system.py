@@ -26,7 +26,6 @@ from .riesz import (
     is_component,
     unit,
 )
-from .structure import StructuralView
 
 
 class KoopmanMap:
@@ -165,7 +164,7 @@ class CepsSystem:
     procedures call ``require_valid`` and refuse flagged systems.
     """
 
-    __slots__ = ("_expectation", "_koopman", "_report", "_cycles", "_view")
+    __slots__ = ("_expectation", "_koopman", "_report", "_cycles", "_split_cycle")
 
     def __init__(self, expectation: ConditionalExpectation, koopman: KoopmanMap):
         report = validate_system(expectation, koopman)
@@ -174,8 +173,13 @@ class CepsSystem:
         object.__setattr__(self, "_report", report)
         cycles = koopman.cycles() if koopman.is_permutation() else None
         object.__setattr__(self, "_cycles", cycles)
-        view = StructuralView(expectation, cycles) if report.passed else None
-        object.__setattr__(self, "_view", view)
+        split = None
+        if report.passed:
+            # cycles are ordered by least atom, so this is also the first cycle
+            # of the first block that holds more than one
+            blocks, block_of = expectation.blocks, expectation.block_of
+            split = next((c for c in cycles if len(c) != len(blocks[block_of[c[0]]])), None)
+        object.__setattr__(self, "_split_cycle", split)
 
     @classmethod
     def from_parts(cls, weights: Sequence[Rational], partition: Iterable[Iterable[int]],
@@ -210,10 +214,14 @@ class CepsSystem:
         return self._cycles
 
     @property
-    def view(self) -> StructuralView:
-        """The cleared-integer structure the fast deciders read; valid systems only."""
+    def split_cycle(self) -> Optional[tuple[int, ...]]:
+        """The lex-first cycle that is not all of its block, or None; valid systems only.
+
+        On a valid system every ergodicity criterion holds iff this is None,
+        and each fast decider builds its witness from it.
+        """
         self.require_valid()
-        return self._view
+        return self._split_cycle
 
     @property
     def longest_cycle(self) -> int:

@@ -350,6 +350,24 @@ def test_converge_refuses_invalid_system(capsys, broken_path):
     assert code == 1 and "valid" in err
 
 
+@pytest.mark.parametrize("output", [("--float",), ("--emit", "json", "--pretty")])
+def test_converge_exits_2_when_floats_overflow(capsys, ergodic_path, output):
+    """10**400 fits no float: the table is refused on stderr, not crashed with exit 1."""
+    argv = ("converge", ergodic_path, "--vector", "rat:1e400,1,0", "--n-grid", "geometric:1:4")
+    code, out, err = run(capsys, *argv, *output)
+    assert code == 2 and out == "" and "error:" in err and "float" in err
+    code, out, _ = run(capsys, *argv)  # the exact table holds the same values
+    assert code == 0 and out.startswith("n,sup_error,bound,within_bound\n")
+
+
+@pytest.mark.parametrize("output", [(), ("--emit", "json")])
+def test_converge_exits_2_past_the_int_digit_limit(capsys, ergodic_path, output):
+    """Exact values of 5001 digits exceed the interpreter's int-to-text limit."""
+    argv = ("converge", ergodic_path, "--vector", "rat:1e5000,1,0", "--n-grid", "geometric:1:4")
+    code, out, err = run(capsys, *argv, *output)
+    assert code == 2 and out == "" and "error:" in err and "digits" in err
+
+
 # --- fuzz ------------------------------------------------------------------------------
 
 def test_fuzz_campaign_is_clean_and_deterministic(capsys):

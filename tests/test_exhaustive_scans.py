@@ -16,7 +16,6 @@ import pytest
 
 import ergolab as E
 from ergolab import ergodicity
-from ergolab.structure import StructuralView
 
 from conftest import one_cycle_per_block
 from test_literal_routes import literal_absorbing_scan, literal_sweep_out_scan
@@ -88,15 +87,15 @@ def test_the_pair_scan_evaluates_each_unordered_class_pair_once(monkeypatch):
     only per-cycle counts and is symmetric, so one evaluation per unordered
     pair of the prod(|C| + 1) count classes is all it needs."""
     system = one_cycle_per_block(9, 4, seed=9)
-    holds = StructuralView.correlation_pair_holds
+    holds = ergodicity._pair_holds
     calls = []
 
-    def counted(view, counts_p, counts_q):
-        calls.append(frozenset((tuple(counts_p), tuple(counts_q))))
-        return holds(view, counts_p, counts_q)
+    def counted(identity, counts_p, counts_q):
+        calls.append(frozenset((counts_p, counts_q)))
+        return holds(identity, counts_p, counts_q)
 
-    monkeypatch.setattr(StructuralView, "correlation_pair_holds", counted)
+    monkeypatch.setattr(ergodicity, "_pair_holds", counted)
     assert E.decide_correlation(system, "corr-component-pairs", exhaustive=True, cap=18) == (True, None)
     classes = math.prod(len(c) + 1 for c in system.cycles)
     assert len(set(calls)) == classes * (classes + 1) // 2
-    assert len(calls) == len(set(calls))
+    assert len(calls) == len(set(calls)) == 5886

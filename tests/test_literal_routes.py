@@ -1,16 +1,19 @@
 """Literal references that certify the fast decision routes and the scans.
 
 Each fast-route reference below evaluates its criterion the direct way: it
-builds the rational vectors and applies the operators, with no structural
-view, no block restriction and no integer clearing.  The fast routes must
+builds the rational vectors and applies the operators, with no split cycle,
+no block restriction and no integer clearing.  The fast routes must
 return the same verdict and the same (lex-first) witness on every system of
 the small universe and on random systems up to seven atoms.
 
 The scan references walk the components one mask at a time in lex order and
-evaluate each criterion on that mask alone; the exhaustive routes, which
-evaluate the criteria on every mask at once (absorbing, sweep-out) or once
-per pair of cycle-count classes (the component scans), must return the same
-verdict and witness.
+evaluate each criterion on that mask alone.  The correlation scans have two:
+a cleared one, which tests the route's integer identity on each mask pair,
+and a rational one, which compares the correlation limit with the product of
+the averages as rational vectors and so certifies that identity.  The
+exhaustive routes, which evaluate the criteria on every mask at once
+(absorbing, sweep-out) or once per pair of cycle-count classes in cleared
+integers (the component scans), must return the same verdict and witness.
 """
 
 import pytest
@@ -253,39 +256,75 @@ def literal_sweep_out_scan(system):
     return True, None
 
 
-def literal_component_pair_scan(system):
-    n, view = system.n, system.view
+def literal_cleared_scan(system, diagonal=False):
+    """Every component pair p <= q in lex order, or p = q on the diagonal,
+    tested one pair at a time by the route's cleared-integer identity.  The
+    per-cycle atom counts come from a bit loop over each mask, and nothing is
+    grouped into classes or memoized, so this certifies the class walk, its
+    numbering, the shared memo and the witness indices; the identity itself is
+    certified by ``literal_rational_scan``."""
+    n, cycles = system.n, system.cycles
+    cycle_of = [0] * n
+    for ci, c in enumerate(cycles):
+        for i in c:
+            cycle_of[i] = ci
     masks = list(lex_masks(n))
-    counts = {m: view.cycle_counts(m) for m in masks}
-    for pi, p_mask in enumerate(masks):
-        for q_mask in masks[pi:]:
-            if not view.correlation_pair_holds(counts[p_mask], counts[q_mask]):
-                return False, (E.Component.from_mask(n, p_mask), E.Component.from_mask(n, q_mask))
+    counts = []
+    for m in masks:
+        count = [0] * len(cycles)
+        while m:
+            low = m & -m
+            count[cycle_of[low.bit_length() - 1]] += 1
+            m ^= low
+        counts.append(tuple(count))
+    identity = ergodicity._CountClasses(system).identity
+    for pi, p_counts in enumerate(counts):
+        for qi in (pi,) if diagonal else range(pi, len(masks)):
+            if not ergodicity._pair_holds(identity, p_counts, counts[qi]):
+                return False, (E.Component.from_mask(n, masks[pi]),
+                               E.Component.from_mask(n, masks[qi]))
     return True, None
 
 
-def literal_diagonal_component_scan(system):
-    n, view = system.n, system.view
-    for p_mask in lex_masks(n):
-        cp = view.cycle_counts(p_mask)
-        if not view.correlation_pair_holds(cp, cp):
-            p = E.Component.from_mask(n, p_mask)
-            return False, (p, p)
+def literal_rational_scan(system, diagonal=False):
+    """Every component pair p <= q in lex order, or p = q on the diagonal:
+    the correlation limit against the product of the averages, both sides as
+    rational vectors.  No cycle counts, no blocks, no integer clearing."""
+    exp = system.expectation
+    comps = [E.Component.from_mask(system.n, m) for m in lex_masks(system.n)]
+    averages = [exp.apply(p) for p in comps]
+    for pi, p in enumerate(comps):
+        for qi in (pi,) if diagonal else range(pi, len(comps)):
+            q = comps[qi]
+            if E.correlation_limit(system, p, q) != averages[pi] * averages[qi]:
+                return False, (p, q)
     return True, None
 
 
 LITERAL_SCANS = {
     "absorbing": literal_absorbing_scan,
     "sweep-out": literal_sweep_out_scan,
-    "corr-component-pairs": literal_component_pair_scan,
-    "corr-diagonal-components": literal_diagonal_component_scan,
+    "corr-component-pairs": literal_cleared_scan,
+    "corr-diagonal-components": lambda system: literal_cleared_scan(system, diagonal=True),
 }
 
+# the rational scan costs O(4**n) vector operations, so the correlation routes
+# are compared with it up to seven atoms, and with the cleared scan up to ten
+RATIONAL_SCANS = {
+    "corr-component-pairs": literal_rational_scan,
+    "corr-diagonal-components": lambda system: literal_rational_scan(system, diagonal=True),
+}
+MASK_SCANS = ("absorbing", "sweep-out")
 
-def assert_scans_match_literal(system, criteria=tuple(LITERAL_SCANS)):
+
+def assert_scans_match_literal(system, criteria=tuple(LITERAL_SCANS), references=LITERAL_SCANS):
     for criterion in criteria:
         scanned = ergodicity.DECIDERS[criterion](system, True, 2 * system.n)
-        assert scanned == LITERAL_SCANS[criterion](system), (criterion, system)
+        assert scanned == references[criterion](system), (criterion, system)
+
+
+def assert_scans_match_rational(system):
+    assert_scans_match_literal(system, tuple(RATIONAL_SCANS), RATIONAL_SCANS)
 
 
 def scan_corpus():
@@ -305,6 +344,7 @@ def test_scans_match_literal_scans_on_the_small_universe():
     witnessed = 0
     for system in every_valid_system():
         assert_scans_match_literal(system)
+        assert_scans_match_rational(system)
         witnessed += not E.decide_absorbing(system)[0]
     assert witnessed > 0
 
@@ -321,6 +361,21 @@ def test_scans_match_literal_scans_on_a_seeded_corpus():
         assert_scans_match_literal(system)
         verdicts.add(E.decide_definition(system)[0])
     assert verdicts == {True, False}
+
+
+@given(systems(max_n=6))
+@settings(max_examples=60, deadline=None)
+def test_correlation_scans_match_the_rational_scan_on_random_systems(system):
+    assert_scans_match_rational(system)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_correlation_scans_match_the_rational_scan_on_one_cycle_per_block(split):
+    """Ergodic systems walk every pair; their splits fail past the first mask."""
+    for n in range(2, 8):
+        system = one_cycle_per_block(n, 1 + n % 2, seed=n, split=split)
+        assert E.decide_definition(system)[0] is not split
+        assert_scans_match_rational(system)
 
 
 def assert_tables_match(n, masks):
@@ -340,7 +395,7 @@ def assert_tables_match(n, masks):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_truth_tables_match_the_lex_masks(n):
     masks = list(lex_masks(n))
-    assert list(ergodicity._lex_masks(n)) == masks
+    assert [ergodicity._lex_component(n, k).mask for k in range(1 << n)] == masks
     assert_tables_match(n, masks)
 
 
@@ -355,7 +410,7 @@ def test_sliced_scans_match_literal_scans(monkeypatch):
     monkeypatch.setattr(ergodicity, "_SLICE_LOG", 2)
     late = 0
     for system in scan_corpus():
-        assert_scans_match_literal(system, ("absorbing", "sweep-out"))
+        assert_scans_match_literal(system, MASK_SCANS)
         ok, witness = E.decide_absorbing(system, exhaustive=True)
         late += not ok and witness.entries[:-2] != (0,) * (system.n - 2)
     assert late > 0  # some witness lies past the first slice

@@ -1,5 +1,6 @@
 """Brute-force reference implementations and their agreement with the fast routes."""
 
+import ast
 import inspect
 from fractions import Fraction
 from itertools import product
@@ -95,11 +96,21 @@ def test_oracle_birkhoff_within_derived_bound(pair):
     assert gap == E.sup_norm(value - E.cesaro_mean(system, f, n_max // 2))
 
 
-def test_oracle_reads_no_structural_view():
-    """The oracle works from the raw operators, never from the deciders' shared view."""
+def test_oracle_reads_none_of_the_deciders_structure():
+    """The oracle works from the raw operators: it imports nothing from the
+    deciders' module and reads neither the cycles, the split cycle nor the
+    cleared weights that the fast and exhaustive routes are built on."""
     import ergolab.oracle as oracle
 
-    imports = [line for line in inspect.getsource(oracle).splitlines()
-               if line.startswith(("import ", "from "))]
-    assert imports and not any("structure" in line for line in imports)
-    assert ".view" not in inspect.getsource(oracle)
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("ergodicity" in name for name in imported)
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "expectation" in read  # the walk does see the operators
+    assert not read & {"cycles", "split_cycle", "cleared_weights"}

@@ -2,7 +2,7 @@
 
 On a valid system every criterion holds iff each block of the partition is
 a single cycle of the atom map, and each fast route builds its witness from
-the view's ``split_cycle``, the first cycle by least atom that is not all of
+the system's ``split_cycle``, the first cycle by least atom that is not all of
 its block.  These tests re-derive that cycle from the raw cycles and blocks
 and check the fact against the full report, which the tests in
 ``test_literal_routes`` certify against the literal rational routes.
@@ -31,12 +31,9 @@ def lex_first_split_cycle(system):
 def assert_the_fact(system):
     ergodic = len(system.cycles) == len(system.expectation.blocks)
     assert E.full_report(system).ergodic == ergodic, system
-    view = system.view
     expected = lex_first_split_cycle(system)
-    if expected is None:
-        assert ergodic and view.split_cycle is None
-    else:
-        assert view.cycles[view.split_cycle] == expected, system
+    assert system.split_cycle == expected, system
+    assert ergodic == (expected is None)
     return ergodic
 
 
@@ -62,7 +59,7 @@ def test_witnesses_come_from_the_first_split_block():
     weights = [F(1, 10), F(2, 10), F(1, 10), F(3, 10), F(1, 10), F(2, 10)]
     system = E.CepsSystem.from_parts(weights, [[0, 2, 4], [1, 3, 5]], [2, 5, 4, 3, 0, 1])
     assert system.is_valid and system.cycles == ((0, 2, 4), (1, 5), (3,))
-    assert system.view.split_cycle == 1
+    assert system.split_cycle == (1, 5)
     c = E.Component.from_indices(6, [1, 5])
     e = E.basis_vector(6, 1)
     expected = {

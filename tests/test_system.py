@@ -303,17 +303,6 @@ def test_deciders_refuse_invalid_systems():
         E.full_report(system)
 
 
-def test_structural_view_clears_denominators():
-    system = E.CepsSystem.from_parts([F(1, 6), F(1, 6), F(1, 3), F(1, 3)],
-                                     [[0, 1], [2, 3]], [1, 0, 3, 2])
-    view = system.view
-    assert view.weights == (1, 1, 2, 2)
-    assert view.block_weight == (2, 4)
-    assert view.cycles == ((0, 1), (2, 3)) and view.cycle_of == (0, 0, 1, 1)
-    assert view.cycle_weight == (1, 2) and view.cycle_lcm == 2 and view.cycle_factor == (1, 2)
-    assert view.cycles_in_block == ((0,), (1,)) and view.split_cycle is None
-
-
-def test_invalid_system_has_no_structural_view():
+def test_invalid_system_has_no_split_cycle():
     with pytest.raises(E.InvalidSystemError):
-        block_crossing_system().view
+        block_crossing_system().split_cycle
