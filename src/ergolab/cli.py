@@ -1,7 +1,9 @@
 """Batch verification tool: validate systems, decide ergodicity, table convergence, fuzz.
 
 Machine-readable output keeps every rational bit-exact as {"num", "den"} (or
-"p/q" strings in CSV); --pretty renders decimals for humans.  Identical
+"p/q" strings in CSV); --pretty renders decimals for humans, and converge
+--float prints its table's values as floats rounded from the exact ones (the
+table itself, and its verdicts, are always computed exactly).  Identical
 inputs and seeds produce byte-identical output.  Exit codes: 0 valid/ergodic/
 clean, 1 invalid or not ergodic, 2 unusable input (parse, schema, spec or cap
 errors), 3 criterion disagreement -- which would falsify an equivalence
@@ -27,9 +29,7 @@ from .ergodicity import (
     CRITERIA,
     DECIDERS,
     ErgodicityReport,
-    birkhoff_limit,
     cesaro_error_bound,
-    cesaro_sweep,
     cesaro_trace,
     check_isometry,
     correlation_limit,
@@ -38,8 +38,6 @@ from .ergodicity import (
 from .oracle import oracle_ergodic
 from .riesz import Component, RieszVector, basis_vector, sup_norm
 from .system import SchemaError, load_system, random_system, random_vector
-
-FLOAT_TOLERANCE = 1e-9  # entrywise slack in the optional floating mode
 
 
 def _cap_arg(text: str) -> int:
@@ -115,7 +113,15 @@ def parse_vector_spec(spec: str, n: int) -> RieszVector:
         toks = rest.split(",")
         if len(toks) != n:
             raise ValueError(f"rat spec must list {n} entries, got {len(toks)}")
+        # Fraction("1e<k>") computes 10**k in full: refuse an exponent past the
+        # interpreter's int digit limit, which load_system applies to JSON integers
+        # (0, or no such function before Python 3.10.7, means no limit)
+        limit = getattr(sys, "get_int_max_str_digits", int)() or math.inf
         try:
+            for t in toks:
+                _, e, exponent = t.lower().partition("e")
+                if e and abs(int(exponent)) > limit:
+                    raise ValueError(f"the exponent of {t.strip()!r} passes the limit of {limit} digits")
             return RieszVector(Fraction(t) for t in toks)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational in vector spec: {exc}") from exc
@@ -212,38 +218,6 @@ def _exact_rows(system, f, grid, against):
     return rows
 
 
-def _float_rows(system, f, grid, against):
-    """Floating fallback for large-n tables; comparisons carry a 1e-9 slack."""
-    if against is None:
-        limit = birkhoff_limit(system, f)
-        scale = 2.0 * system.longest_cycle * float(sup_norm(f))
-        g = f
-    else:
-        limit = correlation_limit(system, f, against)
-        scale = 2.0 * system.longest_cycle * float(sup_norm(f)) * float(sup_norm(against))
-        g = against
-        weights = [float(w) for w in system.expectation.weights]
-        f_float = [float(x) for x in f.entries]
-    limit = [float(x) for x in limit.entries]
-    rows = []
-    for n, mean in cesaro_sweep(system.koopman.sigma, [float(x) for x in g.entries],
-                                sorted(set(grid))):
-        if against is not None:  # E(f · mean), blockwise in floats
-            for b in system.expectation.blocks:
-                v = sum(weights[i] * f_float[i] * mean[i] for i in b) / sum(weights[i] for i in b)
-                for i in b:
-                    mean[i] = v
-        err = max(abs(m - lim) for m, lim in zip(mean, limit))
-        bound = scale / n
-        rows.append((n, err, bound, err <= bound + FLOAT_TOLERANCE))
-    return rows
-
-
-def _unwritable(exc: Exception) -> int:
-    print(f"error: cannot write the table: {exc}", file=sys.stderr)
-    return 2
-
-
 def cmd_converge(args) -> int:
     system = _load(args.path)
     if system is None:
@@ -259,29 +233,25 @@ def cmd_converge(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows = _exact_rows(system, f, grid, against)
     # a value past a float's range (OverflowError) or past the interpreter's
     # int digit limit (ValueError) stops the table before any of it is written;
     # only the float conversions and the writing raise them, not the exact rows
-    if args.float:
-        try:
-            rows = _float_rows(system, f, grid, against)
-        except OverflowError as exc:
-            return _unwritable(exc)
-    else:
-        rows = _exact_rows(system, f, grid, against)
     try:
+        cell = float if args.float else (str if args.emit == "csv" else fraction_to_json)
         if args.emit == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["n", "sup_error", "bound", "within_bound"])
-            writer.writerows([n, err, bound, "true" if ok else "false"] for n, err, bound, ok in rows)
+            writer.writerows([n, cell(err), cell(bound), "true" if ok else "false"]
+                             for n, err, bound, ok in rows)
             sys.stdout.write(buf.getvalue())
         else:
-            cell = float if args.float else fraction_to_json
             _emit({"rows": [{"n": n, "sup_error": cell(err), "bound": cell(bound), "within_bound": ok}
                             for n, err, bound, ok in rows]}, args.pretty)
     except (OverflowError, ValueError) as exc:
-        return _unwritable(exc)
+        print(f"error: cannot write the table: {exc}", file=sys.stderr)
+        return 2
     return 0 if all(ok for *_, ok in rows) else 1
 
 
@@ -356,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index grid, geometric:a:b doubles from a up to b")
     p.add_argument("--emit", choices=("csv", "json"), default="csv")
     p.add_argument("--float", action="store_true",
-                   help=f"floating mode for large n (tolerance {FLOAT_TOLERANCE})")
+                   help="print sup_error and bound as floats, rounded from the exact values")
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("fuzz", help="campaign over random valid systems asserting agreement")

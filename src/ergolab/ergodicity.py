@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 from . import caps
 from .checks import vector_to_json
-from .riesz import Component, DimensionMismatch, RieszVector, _wrap, basis_vector, sup_norm, zero
+from .riesz import (Component, DimensionMismatch, RieszVector, _wrap, basis_vector, rational,
+                    sup_norm, zero)
 from .system import CepsSystem
 
 # a PEP 604 union: typing.Union would keep every imported RieszVector class
@@ -56,19 +57,22 @@ def cesaro_sweep(sigma: Sequence[int], values: Sequence, grid: Sequence[int]):
     The one loop that accumulates composition iterates: a single pass over
     values, values∘σ, values∘σ², ... keeps the running sum of the first k of
     them and yields ``(n, [sum / n])`` at each grid index n (all >= 1).  The
-    arithmetic is the entries' own: exact for ``Fraction`` entries, floating
-    for floats, summed in iterate order either way.
+    entries must be exact (floats raise ``TypeError``); they are cleared to
+    integers over their common denominator D once, so the pass adds ints and
+    only the snapshots build ``Fraction``s, sum / (n·D) in lowest terms.
     """
     if len(values) != len(sigma):
         raise DimensionMismatch(f"map on {len(sigma)} atoms applied to a {len(values)}-atom vector")
-    acc = cur = list(values)
+    exact = [rational(v) for v in values]
+    d = math.lcm(*(x.denominator for x in exact))
+    acc = cur = [x.numerator * (d // x.denominator) for x in exact]
     k = 1
     for n in grid:
         while k < n:
             cur = list(map(cur.__getitem__, sigma))
             acc = list(map(add, acc, cur))
             k += 1
-        yield n, [a / n for a in acc]
+        yield n, [Fraction(a, n * d) for a in acc]
 
 
 def cesaro_mean(system: CepsSystem, f: RieszVector, n: int) -> RieszVector:

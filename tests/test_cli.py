@@ -45,6 +45,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, timeout=None):
+    """``python -m ergolab *argv`` in a child process, output captured as text."""
+    # the child imports the same ergolab as this test, whatever sys.path pytest was given
+    package_root = str(Path(E.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "ergolab", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 # --- vector and grid specs ------------------------------------------------------
 
 def test_vector_spec_grammar():
@@ -368,6 +378,64 @@ def test_converge_exits_2_past_the_int_digit_limit(capsys, ergodic_path, output)
     assert code == 2 and out == "" and "error:" in err and "digits" in err
 
 
+@pytest.mark.parametrize("entry", ["1e99999999", "-1E-99999999", "2.5e9_999_999"])
+def test_converge_refuses_a_huge_exponent_at_parse_time(ergodic_path, entry):
+    """Fraction("1e99999999") would compute 10**99999999 before any check ran."""
+    proc = run_module("converge", ergodic_path, "--vector", f"rat:{entry},1,0",
+                      "--n-grid", "geometric:1:2", timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error:" in proc.stderr and "digits" in proc.stderr
+
+
+def test_converge_exits_2_when_a_product_passes_the_int_digit_limit(capsys, ergodic_path):
+    """1e3000 parses, but the correlation table holds values of about 6000 digits."""
+    argv = ("converge", ergodic_path, "--vector", "rat:1e3000,1,0", "--against", "rat:1e3000,1,0",
+            "--n-grid", "geometric:1:4")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "cannot write the table" in err and f"{sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.fixture
+def twelve_atom_path(tmp_path):
+    path = tmp_path / "twelve.json"
+    E.save_system(E.random_system(12, 3, 4), path)
+    return str(path)
+
+
+def _exact_cell(cell):
+    return F(cell) if isinstance(cell, str) else F(cell["num"], cell["den"])
+
+
+@pytest.mark.parametrize("against", [(), ("--against", "rat:2/7,1,-1/3,0,5/9,7/11,1/13,-2,3/4,0,1/5,6/7")])
+@pytest.mark.parametrize("emit", ["csv", "json"])
+def test_converge_float_renders_the_exact_values(capsys, twelve_atom_path, against, emit):
+    """--float prints float() of each exact cell and the exact within_bound verdict."""
+    argv = ("converge", twelve_atom_path, "--vector", "rat:1/3,2/7,7/11,-5/13,0,1,-1/2,3/17,9/10,-4/9,1/6,2",
+            *against, "--n-grid", "geometric:1:4096", "--emit", emit)
+    tables = []
+    for extra in ((), ("--float",)):
+        code, out, _ = run(capsys, *argv, *extra)
+        if emit == "csv":
+            header, *lines = out.splitlines()
+            assert header == "n,sup_error,bound,within_bound"
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+            for row in rows:
+                row["within_bound"] = row["within_bound"] == "true"
+        else:
+            rows = json.loads(out)["rows"]
+        tables.append((code, rows))
+    (exact_code, exact_rows), (float_code, float_rows) = tables
+    assert exact_code == float_code and len(exact_rows) == len(float_rows) == 13
+    for exact, approx in zip(exact_rows, float_rows):
+        assert int(exact["n"]) == int(approx["n"])
+        for key in ("sup_error", "bound"):
+            assert float(approx[key]) == float(_exact_cell(exact[key]))
+            if emit == "json":
+                assert isinstance(approx[key], float)
+        assert approx["within_bound"] == exact["within_bound"]
+
+
 # --- fuzz ------------------------------------------------------------------------------
 
 def test_fuzz_campaign_is_clean_and_deterministic(capsys):
@@ -436,14 +504,7 @@ def test_pretty_renders_decimals(capsys, non_ergodic_path):
     assert doc["witnesses"]["definition"] == [1.0, 0.0]
 
 
-def test_module_invocation_round_trip(tmp_path):
-    path = tmp_path / "sys.json"
-    E.save_system(E.CepsSystem.from_parts([F(1, 3)] * 3, [[0, 1, 2]], [1, 2, 0]), path)
-    # the child imports the same ergolab as this test, whatever sys.path pytest was given
-    package_root = str(Path(E.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "ergolab", "check", str(path)],
-                          capture_output=True, text=True, env=env)
+def test_module_invocation_round_trip(ergodic_path):
+    proc = run_module("check", ergodic_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ergodic"] is True

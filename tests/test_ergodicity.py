@@ -1,6 +1,7 @@
 """Cesàro machinery, the decision procedures, correlations, and norm preservation."""
 
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -80,12 +81,47 @@ def test_sweep_keeps_the_entries_arithmetic():
     f = rv(3, -1, F(1, 2))
     grid = [1, 2, 5, 9]
     exact = list(E.cesaro_sweep(system.koopman.sigma, f.entries, grid))
-    floating = list(E.cesaro_sweep(system.koopman.sigma, [float(x) for x in f.entries], grid))
-    assert [n for n, _ in exact] == [n for n, _ in floating] == grid
-    for (n, mean), (_, approx) in zip(exact, floating):
+    assert [n for n, _ in exact] == grid
+    for n, mean in exact:
         assert mean == list(brute_cesaro(system, f, n).entries)
-        assert all(isinstance(x, float) for x in approx)
-        assert approx == pytest.approx([float(x) for x in mean], abs=1e-12)
+        assert all(type(x) is F for x in mean)
+    with pytest.raises(TypeError, match="float"):
+        list(E.cesaro_sweep(system.koopman.sigma, [float(x) for x in f.entries], grid))
+
+
+def test_sweep_adds_no_fractions_between_grid_points(monkeypatch):
+    system = E.random_system(9, 2, 17)
+    f = E.random_vector(9, 5, max_den=97)
+    grid = [1, 3, 1024]
+
+    def refuse(self, other):
+        raise AssertionError("the sweep added two Fractions")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(F, "__add__", refuse)
+        means = list(E.cesaro_sweep(system.koopman.sigma, f.entries, grid))
+    assert [n for n, _ in means] == grid
+    for n, mean in means:
+        assert mean == list(brute_cesaro(system, f, n).entries)
+
+
+@pytest.mark.parametrize("n_atoms, blocks, seed", [(6, 1, 3), (8, 3, 11), (12, 4, 29)])
+def test_cesaro_mean_matches_the_oracle_loop_at_large_indices(n_atoms, blocks, seed):
+    """Denominators up to 10**6 and mixed signs, so the cleared sum runs over a large lcm."""
+    rng = random.Random(seed)
+    system = E.random_system(n_atoms, blocks, seed)
+    f = E.RieszVector(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(n_atoms))
+    assert min(f.entries) < 0 < max(f.entries)
+    for n in (2, 3, 97, 4096):
+        assert E.cesaro_mean(system, f, n) == E.oracle_birkhoff(system, f, n)[0]
+
+
+def test_cesaro_mean_matches_definition_on_a_non_permutation_map():
+    system = E.CepsSystem.from_parts([F(1, 5)] * 5, [[0, 1, 2], [3, 4]], [1, 1, 2, 4, 4])
+    assert not system.report.check("permutation").passed
+    f = rv(F(1, 3), -2, F(5, 7), 0, F(-9, 4))
+    for n in range(1, 13):
+        assert E.cesaro_mean(system, f, n) == brute_cesaro(system, f, n)
 
 
 def test_trace_snapshots_match_single_calls():
