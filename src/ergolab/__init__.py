@@ -25,14 +25,12 @@ from .ergodicity import (
     cesaro_trace,
     check_isometry,
     correlation_limit,
-    correlation_mean,
     decide_absorbing,
     decide_correlation,
     decide_definition,
     decide_sweep_out,
     decide_time_average,
     full_report,
-    orbit_join,
 )
 from .oracle import enumerate_components, oracle_birkhoff, oracle_ergodic
 from .riesz import (
@@ -54,7 +52,6 @@ from .system import (
     InvalidSystemError,
     KoopmanMap,
     SchemaError,
-    check_component_projection,
     check_range_fixed,
     load_system,
     random_system,

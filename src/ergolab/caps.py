@@ -12,7 +12,8 @@ class CapExceededError(ValueError):
 def resolve(cap: int | None) -> int:
     if cap is None:
         return DEFAULT_CAP
-    if not isinstance(cap, int) or cap < 0:
+    # bool is an int subclass, but True is no budget
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
         raise ValueError(f"cap must be a nonnegative integer, got {cap!r}")
     return cap
 

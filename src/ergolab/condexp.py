@@ -95,10 +95,6 @@ class ConditionalExpectation:
     def block_of(self) -> tuple[int, ...]:
         return self._block_of
 
-    @property
-    def block_mass(self) -> tuple[Fraction, ...]:
-        return self._block_mass
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ConditionalExpectation):
             return self._weights == other._weights and self._blocks == other._blocks
@@ -172,8 +168,8 @@ def verify_axioms(op: ConditionalExpectation) -> CheckReport:
     """Check the defining operator laws on the standard basis.
 
     Linearity makes the basis sufficient for the projection and averaging
-    identities; strict positivity is structural (construction refuses
-    non-positive weights) and is reported as such.
+    identities.  Strict positivity of the weights cannot fail, since
+    construction refuses a weight <= 0, and is not reported.
     """
     n = op.n
     basis = [Component.from_indices(n, [k]) for k in range(n)]
@@ -190,10 +186,6 @@ def verify_axioms(op: ConditionalExpectation) -> CheckReport:
     e = unit(n)
     ok = op.apply(e) == e
     checks.append(Check("preserves-unit", ok, None if ok else e))
-
-    checks.append(
-        Check("strictly-positive-weights", True, note="structural: construction rejects weights <= 0")
-    )
 
     witness = None
     for bi in range(len(op.blocks)):

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 
 from . import caps
 from .checks import vector_to_json
-from .riesz import (Component, DimensionMismatch, RieszVector, _wrap, basis_vector, rational,
-                    sup_norm, zero)
+from .riesz import Component, DimensionMismatch, RieszVector, _wrap, rational, sup_norm
 from .system import CepsSystem
 
 # a PEP 604 union: typing.Union would keep every imported RieszVector class
@@ -129,24 +128,6 @@ def cesaro_error_bound(system: CepsSystem, f: RieszVector, n: int) -> Fraction:
     envelope asserted by the convergence tables.
     """
     return Fraction(2 * system.longest_cycle) * sup_norm(f) / n
-
-
-def orbit_join(system: CepsSystem, p: Component) -> Component:
-    """Join of all forward images of p under the composition operator.
-
-    Iterates image-and-join until one round adds nothing; the running join
-    absorbs preimages from then on, so stabilization is permanent (and
-    arrives within one longest cycle).
-    """
-    system.require_valid()
-    join = zero(system.n)
-    cur = p
-    while True:
-        cur = system.koopman.apply(cur)
-        grown = join.sup(cur)
-        if grown == join:
-            return join
-        join = grown
 
 
 # --- Mask scans ---------------------------------------------------------------
@@ -334,6 +315,20 @@ class _CountClasses(dict):
 # criterion the direct way and must return the same verdict and witness.
 
 
+def _fast_verdict(system: CepsSystem, whole_cycle: bool, paired: bool = False) -> Verdict:
+    """A fast route's verdict, read from the first split cycle C.
+
+    None means every block is one cycle: the criterion holds.  Otherwise the
+    witness is 1_C (``whole_cycle``) or e_c, c the least atom of C, taken
+    as the pair (w, w) when ``paired``.
+    """
+    split = system.split_cycle
+    if split is None:
+        return True, None
+    witness = Component.from_indices(system.n, split if whole_cycle else split[:1])
+    return False, ((witness, witness) if paired else witness)
+
+
 def decide_definition(system: CepsSystem) -> Verdict:
     """Invariant vectors are fixed by the averaging operator.
 
@@ -341,10 +336,7 @@ def decide_definition(system: CepsSystem) -> Verdict:
     iff C is all of its block, since E(1_C) is m_C / W_B < 1 on the block
     otherwise.  Linearity carries the verdict to every invariant vector.
     """
-    split = system.split_cycle
-    if split is None:
-        return True, None
-    return False, Component.from_indices(system.n, split)
+    return _fast_verdict(system, whole_cycle=True)
 
 
 def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
@@ -358,12 +350,10 @@ def decide_absorbing(system: CepsSystem, exhaustive: bool = False,
     for every component under the cap, on all of them at once through
     per-atom truth tables.
     """
-    split = system.split_cycle
-    n = system.n
     if not exhaustive:
-        if split is None:
-            return True, None
-        return False, Component.from_indices(n, split)
+        return _fast_verdict(system, whole_cycle=True)
+    system.require_valid()
+    n = system.n
     caps.guard("exhaustive component scan", n, cap)
     sigma, blocks = system.koopman.sigma, system.expectation.blocks
 
@@ -391,19 +381,17 @@ def decide_sweep_out(system: CepsSystem, exhaustive: bool = False,
     iterates image-and-join for every component under the cap, on all of
     them at once through per-atom truth tables.
     """
-    split = system.split_cycle
-    n = system.n
     if not exhaustive:
-        if split is None:
-            return True, None
-        return False, basis_vector(n, split[0])
+        return _fast_verdict(system, whole_cycle=False)
+    system.require_valid()
+    n = system.n
     caps.guard("exhaustive component scan", n, cap)
     sigma, blocks = system.koopman.sigma, system.expectation.blocks
 
     def failures(tables):
-        # image-and-join on every mask at once, until no table grows: a mask
-        # whose own join stopped growing earlier is closed under the image from
-        # then on (see orbit_join), so each bit ends at that mask's orbit join
+        # image-and-join on every mask at once, until no table grows: once a
+        # round adds nothing to a mask's join, the join holds every later image
+        # too, so each bit ends at that mask's orbit join
         join = [0] * n
         cur = tables
         while True:
@@ -424,22 +412,10 @@ def decide_time_average(system: CepsSystem) -> Verdict:
     on all of i's block B; they agree iff C is all of B, so the first basis
     vector to fail is e_c, c the least atom of the first split cycle.
     """
-    split = system.split_cycle
-    if split is None:
-        return True, None
-    return False, basis_vector(system.n, split[0])
+    return _fast_verdict(system, whole_cycle=False)
 
 
 # --- Correlation criteria -------------------------------------------------------
-
-def correlation_mean(system: CepsSystem, f: RieszVector, g: RieszVector, n: int) -> RieszVector:
-    """Average of the first n averaged products E(f · Sᵏg), k < n.
-
-    Averaging, and multiplying by f, are linear, so they commute with the
-    mean over k: the n-th correlation mean is E(f · cesaro_mean(g, n)).
-    """
-    return system.expectation.apply(f * cesaro_mean(system, g, n))
-
 
 def correlation_limit(system: CepsSystem, f: RieszVector, g: RieszVector) -> RieszVector:
     """Exact limit of the correlation means: the averaged product with the time average."""
@@ -472,7 +448,7 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
     "corr-ideal-pairs" too (the two quantifiers coincide in finite
     dimensions); asked for by name, "corr-ideal-pairs" runs on its own.
     """
-    split = system.split_cycle
+    system.require_valid()
     if variant not in CORRELATION_VARIANTS:
         raise ValueError(f"unknown correlation variant {variant!r}")
     n = system.n
@@ -495,13 +471,7 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
                 return False, (_lex_component(n, pi), _lex_component(n, qi))
         return True, None
 
-    if split is None:
-        return True, None
-    if components:
-        p = Component.from_indices(n, split)
-        return False, (p, p)
-    ec = basis_vector(n, split[0])
-    return False, (ec, ec)
+    return _fast_verdict(system, whole_cycle=components, paired=True)
 
 
 # --- Norm preservation -----------------------------------------------------------

@@ -5,7 +5,9 @@ operator of an atom self-map.  The compatibility law (averaging after
 composing equals averaging) holds exactly when the atom map is a permutation
 that fixes every block setwise and the weights are constant along its cycles;
 ``validate_system`` checks both the operator law on the basis and that
-structural characterization, so each certifies the other.
+structural characterization, so each certifies the other.  ``KoopmanMap``
+walks the atom map once, at construction, and keeps its cycle decomposition;
+validation, the system and the generator all read that one walk.
 """
 
 from __future__ import annotations
@@ -23,15 +25,13 @@ from .riesz import (
     Rational,
     RieszVector,
     _wrap,
-    is_component,
-    unit,
 )
 
 
 class KoopmanMap:
     """Composition operator of an atom self-map: (Sf)_i = f_{sigma(i)}."""
 
-    __slots__ = ("_sigma",)
+    __slots__ = ("_sigma", "_cycles")
 
     def __init__(self, sigma: Sequence[int]):
         sig = tuple(int(i) for i in sigma)
@@ -42,6 +42,7 @@ class KoopmanMap:
             if not 0 <= j < n:
                 raise ValueError(f"sigma[{i}] = {j} out of range for {n} atoms")
         object.__setattr__(self, "_sigma", sig)
+        object.__setattr__(self, "_cycles", _cycle_decomposition(sig))
 
     def __setattr__(self, name, value):
         raise AttributeError("KoopmanMap is immutable")
@@ -73,25 +74,37 @@ class KoopmanMap:
         return _wrap(Component if isinstance(f, Component) else RieszVector, pulled)
 
     def is_permutation(self) -> bool:
-        return len(set(self._sigma)) == self.n
+        return self._cycles is not None
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition, ordered by smallest atom; permutations only."""
-        if not self.is_permutation():
+        if self._cycles is None:
             raise ValueError("cycle decomposition is defined for permutations only")
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cyc.append(i)
-                i = self._sigma[i]
-            out.append(tuple(cyc))
-        return tuple(out)
+        return self._cycles
+
+
+def _cycle_decomposition(sigma: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The cycles of sigma by least atom, or None when sigma is not a permutation.
+
+    Each walk follows sigma from the least unseen atom until it meets a seen
+    one.  A permutation always returns to the walk's start; if every walk
+    does, the walks partition the atoms into cycles and sigma is a bijection.
+    """
+    seen = [False] * len(sigma)
+    out = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = sigma[i]
+        if i != start:
+            return None
+        out.append(tuple(cyc))
+    return tuple(out)
 
 
 class InvalidSystemError(ValueError):
@@ -102,8 +115,10 @@ def validate_system(expectation: ConditionalExpectation, koopman: KoopmanMap) ->
     """All compatibility laws, with witnesses on failure.
 
     Checks the defining law on every standard basis vector (linearity makes
-    the basis sufficient), the structural laws it is equivalent to, and the
-    two laws that hold for any composition operator (reported with notes).
+    the basis sufficient) and the structural laws it is equivalent to.
+    Composition by any atom map fixes the all-ones vector and acts entrywise,
+    so it passes joins and meets through; those laws cannot fail and are not
+    reported.
     """
     if expectation.n != koopman.n:
         raise DimensionMismatch(f"operators disagree on atom count: {expectation.n} vs {koopman.n}")
@@ -119,14 +134,6 @@ def validate_system(expectation: ConditionalExpectation, koopman: KoopmanMap) ->
             break
     checks.append(Check("basis-preservation", witness is None, witness,
                         note="averaging after composing equals averaging, on the basis"))
-
-    e = unit(n)
-    ok = koopman.apply(e) == e
-    checks.append(Check("unit-fixed", ok, None if ok else e,
-                        note="structural: composition fixes constant vectors"))
-
-    checks.append(Check("lattice-homomorphism", True,
-                        note="structural: composition acts entrywise, so joins and meets pass through"))
 
     if koopman.is_permutation():
         checks.append(Check("permutation", True))
@@ -164,21 +171,20 @@ class CepsSystem:
     procedures call ``require_valid`` and refuse flagged systems.
     """
 
-    __slots__ = ("_expectation", "_koopman", "_report", "_cycles", "_split_cycle")
+    __slots__ = ("_expectation", "_koopman", "_report", "_split_cycle")
 
     def __init__(self, expectation: ConditionalExpectation, koopman: KoopmanMap):
         report = validate_system(expectation, koopman)
         object.__setattr__(self, "_expectation", expectation)
         object.__setattr__(self, "_koopman", koopman)
         object.__setattr__(self, "_report", report)
-        cycles = koopman.cycles() if koopman.is_permutation() else None
-        object.__setattr__(self, "_cycles", cycles)
         split = None
         if report.passed:
             # cycles are ordered by least atom, so this is also the first cycle
             # of the first block that holds more than one
             blocks, block_of = expectation.blocks, expectation.block_of
-            split = next((c for c in cycles if len(c) != len(blocks[block_of[c[0]]])), None)
+            split = next((c for c in koopman.cycles()
+                          if len(c) != len(blocks[block_of[c[0]]])), None)
         object.__setattr__(self, "_split_cycle", split)
 
     @classmethod
@@ -211,7 +217,8 @@ class CepsSystem:
 
     @property
     def cycles(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        return self._cycles
+        """The atom map's cycle decomposition, or None when it is not a permutation."""
+        return self._koopman._cycles
 
     @property
     def split_cycle(self) -> Optional[tuple[int, ...]]:
@@ -225,20 +232,14 @@ class CepsSystem:
 
     @property
     def longest_cycle(self) -> int:
-        if self._cycles is None:
+        if self.cycles is None:
             raise InvalidSystemError("cycle structure needs a permutation atom map")
-        return max(len(c) for c in self._cycles)
+        return max(len(c) for c in self.cycles)
 
     def require_valid(self) -> None:
         if not self.is_valid:
             failed = ", ".join(c.name for c in self._report.failures)
             raise InvalidSystemError(f"system fails validation checks: {failed}")
-
-    def cycle_indicators(self) -> tuple[Component, ...]:
-        """Indicators of the atom map's cycles: the minimal invariant components."""
-        if self._cycles is None:
-            raise InvalidSystemError("cycle structure needs a permutation atom map")
-        return tuple(Component.from_indices(self.n, c) for c in self._cycles)
 
     def __repr__(self) -> str:
         tag = "valid" if self.is_valid else "INVALID"
@@ -260,34 +261,6 @@ def check_range_fixed(system: CepsSystem) -> CheckReport:
             witness = g
             break
     return CheckReport((Check("range-fixed", witness is None, witness),))
-
-
-def check_component_projection(expectation: ConditionalExpectation, trials: int = 100,
-                               seed: int = 0) -> CheckReport:
-    """Whenever the average of a 0/1 vector is again a 0/1 vector, it is that vector.
-
-    Sampled over random components plus the forced edge cases (empty, full,
-    and every block indicator).  The hypothesis is often vacuous for
-    components cutting strictly through a block; the note records how many
-    samples actually engaged it.
-    """
-    n = expectation.n
-    rng = random.Random(seed)
-    pool: list[Component] = [Component([0] * n), unit(n)]
-    pool.extend(expectation.block_indicator(bi) for bi in range(len(expectation.blocks)))
-    for _ in range(trials):
-        pool.append(Component([rng.randint(0, 1) for _ in range(n)]))
-    engaged = 0
-    witness = None
-    for p in pool:
-        image = expectation.apply(p)
-        if is_component(image):
-            engaged += 1
-            if image != p:
-                witness = p
-                break
-    return CheckReport((Check("component-projection", witness is None, witness,
-                              note=f"{engaged} of {len(pool)} sampled components had 0/1 averages"),))
 
 
 def random_system(n: int, blocks: int, seed: int) -> CepsSystem:

@@ -82,3 +82,40 @@ def one_cycle_per_block(n, blocks, seed, split=False):
         raise ValueError("no block has two atoms to split")
     total = sum(masses)
     return E.CepsSystem.from_parts([Fraction(m, total) for m in masses], partition, sigma)
+
+
+# --- literal references ---------------------------------------------------------
+#
+# Read only by the tests: each evaluates its object straight from the
+# definitions, with the package's operators, to certify the deciders' routes.
+
+def cycle_indicators(system):
+    """Indicators of the atom map's cycles: the minimal invariant components."""
+    return tuple(E.Component.from_indices(system.n, c) for c in system.cycles)
+
+
+def orbit_join(system, p):
+    """Join of all forward images of the component p under the composition operator.
+
+    Iterates image-and-join until one round adds nothing; the running join
+    absorbs preimages from then on, so stabilization is permanent (and
+    arrives within one longest cycle).
+    """
+    system.require_valid()
+    join = E.zero(system.n)
+    cur = p
+    while True:
+        cur = system.koopman.apply(cur)
+        grown = join.sup(cur)
+        if grown == join:
+            return join
+        join = grown
+
+
+def correlation_mean(system, f, g, n):
+    """Average of the first n averaged products E(f · Sᵏg), k < n.
+
+    Averaging, and multiplying by f, are linear, so they commute with the
+    mean over k: the n-th correlation mean is E(f · cesaro_mean(g, n)).
+    """
+    return system.expectation.apply(f * E.cesaro_mean(system, g, n))

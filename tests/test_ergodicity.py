@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import ergolab as E
 from ergolab.ergodicity import CORRELATION_VARIANTS, CRITERIA, DECIDERS
 
-from conftest import block_crossing_system, systems, systems_with_vectors, vectors
+from conftest import (block_crossing_system, correlation_mean, orbit_join, systems,
+                      systems_with_vectors, vectors)
 
 F = Fraction
 
@@ -192,7 +193,7 @@ def brute_orbit_join(system, p):
 def test_orbit_join_matches_definition(system, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=system.n, max_size=system.n))
     p = E.Component(bits)
-    joined = E.orbit_join(system, p)
+    joined = orbit_join(system, p)
     assert joined == brute_orbit_join(system, p)
     # and it is exactly the union of cycles meeting the support
     touched = set()
@@ -247,7 +248,7 @@ def test_trivial_components_always_satisfy_absorbing():
 
 def test_sweep_out_singleton_covers_cycle():
     system = three_cycle()
-    assert E.orbit_join(system, E.basis_vector(3, 0)) == E.unit(3)
+    assert orbit_join(system, E.basis_vector(3, 0)) == E.unit(3)
     ok, _ = E.decide_sweep_out(system)
     assert ok
 
@@ -257,12 +258,12 @@ def test_sweep_out_identity_witness():
     ok, witness = E.decide_sweep_out(system)
     assert not ok
     assert witness == E.Component([1, 0])
-    assert E.orbit_join(system, witness) == witness
+    assert orbit_join(system, witness) == witness
 
 
 def test_sweep_out_unit_always_passes():
     for system in (three_cycle(), identity_two(), paired_swaps()):
-        joined = E.orbit_join(system, E.unit(system.n))
+        joined = orbit_join(system, E.unit(system.n))
         assert system.expectation.in_range(joined)
 
 
@@ -334,7 +335,7 @@ def brute_correlation(system, f, g, n):
 def test_correlation_matches_definition(pair, n, data):
     system, f = pair
     g = data.draw(vectors(system.n))
-    assert E.correlation_mean(system, f, g, n) == brute_correlation(system, f, g, n)
+    assert correlation_mean(system, f, g, n) == brute_correlation(system, f, g, n)
 
 
 def test_correlation_mean_with_invariant_second_argument():
@@ -343,7 +344,7 @@ def test_correlation_mean_with_invariant_second_argument():
     f = rv(1, 0, 3, -2)
     expected = system.expectation.apply(f * g)
     for n in (1, 3, 7):
-        assert E.correlation_mean(system, f, g, n) == expected
+        assert correlation_mean(system, f, g, n) == expected
 
 
 @given(systems_with_vectors(), st.integers(1, 10))
@@ -352,13 +353,13 @@ def test_correlation_mean_with_unit_first_argument(pair, n):
     """With the unit in front the average telescopes to the plain average."""
     system, g = pair
     e = E.unit(system.n)
-    assert E.correlation_mean(system, e, g, n) == system.expectation.apply(g)
+    assert correlation_mean(system, e, g, n) == system.expectation.apply(g)
 
 
 def test_correlation_mean_at_one():
     system = three_cycle()
     f, g = rv(1, 2, 3), rv(-1, 0, 2)
-    assert E.correlation_mean(system, f, g, 1) == system.expectation.apply(f * g)
+    assert correlation_mean(system, f, g, 1) == system.expectation.apply(f * g)
 
 
 def test_correlation_limit_examples():
@@ -378,7 +379,7 @@ def test_correlation_convergence_bound(pair, exponent):
     system, f = pair
     g = system.koopman.apply(f) + E.unit(system.n)  # a second, correlated vector
     n = 2 ** exponent
-    gap = E.sup_norm(E.correlation_mean(system, f, g, n) - E.correlation_limit(system, f, g))
+    gap = E.sup_norm(correlation_mean(system, f, g, n) - E.correlation_limit(system, f, g))
     bound = F(2 * system.longest_cycle) * E.sup_norm(f) * E.sup_norm(g) / n
     assert gap <= bound
 

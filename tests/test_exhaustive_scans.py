@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 import ergolab as E
-from ergolab import ergodicity
+from ergolab import caps, ergodicity
 
 from conftest import one_cycle_per_block
 from test_literal_routes import literal_absorbing_scan, literal_sweep_out_scan
@@ -67,6 +67,17 @@ def test_the_cap_refuses_a_scan_before_any_table_is_built(monkeypatch):
             decide(system, exhaustive=True)
 
 
+@pytest.mark.parametrize("cap", [True, False])
+def test_the_cap_refuses_a_bool(cap):
+    """bool is an int subclass, but no budget: refused as a bad cap, not
+    read as 2**1 or 2**0."""
+    with pytest.raises(ValueError, match="nonnegative integer") as err:
+        E.decide_absorbing(one_cycle_per_block(3, 1, seed=5), True, cap)
+    assert not isinstance(err.value, E.CapExceededError)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        caps.resolve(cap)
+
+
 def test_slices_bound_the_memory_of_a_scan():
     """All 2**20 components of an ergodic system: unsliced, each truth table
     would hold 2**20 bits (128 KB), 2.6 MB per set of 20, and the join loop
@@ -99,3 +110,33 @@ def test_the_pair_scan_evaluates_each_unordered_class_pair_once(monkeypatch):
     classes = math.prod(len(c) + 1 for c in system.cycles)
     assert len(set(calls)) == classes * (classes + 1) // 2
     assert len(calls) == len(set(calls)) == 5886
+
+
+def cauchy_schwarz_corpus():
+    """Seeded random systems (n 2-8) and split one-cycle-per-block systems."""
+    for k in range(160):
+        n = 2 + k % 7
+        yield E.random_system(n, 1 + (k // 7) % min(4, n), 104729 * k + 3)
+    for n in range(2, 9):
+        for blocks in range(1, n):
+            yield one_cycle_per_block(n, blocks, seed=n * 31 + blocks, split=True)
+
+
+def test_the_pair_scan_fails_first_on_the_diagonal():
+    """Per block the identity's gap is a positive semidefinite form in the
+    cycle counts, so a component whose diagonal passes passes against every
+    q, and the lex-first failing pair is (p, p), p the diagonal scan's
+    witness.  Both scans run in full: neither reads the other."""
+    checked = failed = 0
+    for system in cauchy_schwarz_corpus():
+        ok, pair = E.decide_correlation(system, "corr-component-pairs", exhaustive=True)
+        diagonal_ok, diagonal = E.decide_correlation(system, "corr-diagonal-components",
+                                                     exhaustive=True)
+        assert ok == diagonal_ok
+        assert pair == diagonal
+        if not ok:
+            p, q = pair
+            assert p == q
+            failed += 1
+        checked += 1
+    assert (checked, failed) == (188, 135)

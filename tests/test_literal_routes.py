@@ -22,13 +22,13 @@ from hypothesis import given, settings
 import ergolab as E
 from ergolab import ergodicity
 
-from conftest import one_cycle_per_block, systems
+from conftest import cycle_indicators, one_cycle_per_block, orbit_join, systems
 from test_small_universe import every_valid_system
 
 
 def literal_definition(system):
     exp = system.expectation
-    for p in system.cycle_indicators():
+    for p in cycle_indicators(system):
         if exp.apply(p) != p:
             return False, p
     return True, None
@@ -36,7 +36,7 @@ def literal_definition(system):
 
 def literal_absorbing(system):
     exp = system.expectation
-    for p in system.cycle_indicators():
+    for p in cycle_indicators(system):
         if not exp.in_range(p):
             return False, p
     return True, None
@@ -45,7 +45,7 @@ def literal_absorbing(system):
 def literal_sweep_out(system):
     n = system.n
     for i in range(n):
-        if not system.expectation.in_range(E.orbit_join(system, E.basis_vector(n, i))):
+        if not system.expectation.in_range(orbit_join(system, E.basis_vector(n, i))):
             return False, E.basis_vector(n, i)
     return True, None
 
@@ -93,7 +93,7 @@ def literal_diagonal(system):
 
 def literal_component_pairs(system):
     exp = system.expectation
-    indicators = system.cycle_indicators()
+    indicators = cycle_indicators(system)
     for p in indicators:
         for q in indicators:
             if E.correlation_limit(system, p, q) != exp.apply(p) * exp.apply(q):
@@ -103,7 +103,7 @@ def literal_component_pairs(system):
 
 def literal_diagonal_components(system):
     exp = system.expectation
-    for p in system.cycle_indicators():
+    for p in cycle_indicators(system):
         if E.correlation_limit(system, p, p) != exp.apply(p) * exp.apply(p):
             return False, (p, p)
     return True, None
@@ -202,7 +202,7 @@ def image_mask(pre, mask):
     return out
 
 
-def orbit_join(pre, mask):
+def orbit_join_mask(pre, mask):
     """Join of all forward images of ``mask``, iterated until a round adds nothing."""
     join = 0
     cur = mask
@@ -251,7 +251,7 @@ def literal_absorbing_scan(system):
 def literal_sweep_out_scan(system):
     n, bms, pre = system.n, block_masks(system), preimage_masks(system)
     for p_mask in lex_masks(n):
-        if not block_constant(bms, orbit_join(pre, p_mask)):
+        if not block_constant(bms, orbit_join_mask(pre, p_mask)):
             return False, E.Component.from_mask(n, p_mask)
     return True, None
 

@@ -1,15 +1,19 @@
 """System bundle: composition operator, validation, law checks, generator, JSON."""
 
 import json
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergolab as E
+from ergolab import system as system_module
 
 from conftest import block_crossing_system, components, systems, systems_with_vectors
+from test_small_universe import every_valid_system, set_partitions
 
 F = Fraction
 
@@ -64,6 +68,41 @@ def test_cycles_require_permutation():
         E.KoopmanMap([0, 0]).cycles()
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: E.random_system(3 + seed % 7, 1 + seed % 3, seed),
+    lambda seed: E.CepsSystem.from_parts([F(1, 5)] * 5, [[0, 1, 2], [3, 4]],
+                                         [[1, 2, 0, 4, 3], [2, 0, 1, 3, 4]][seed % 2]),
+], ids=["random_system", "from_parts"])
+def test_one_cycle_decomposition_per_map(make):
+    for seed in range(20):
+        system = make(seed)
+        assert system.cycles is system.koopman.cycles()
+        assert system.koopman.cycles() is system.koopman.cycles()
+        assert system.cycles is system.cycles
+
+
+def test_a_non_permutation_has_no_cycles():
+    system = E.CepsSystem.from_parts([F(1, 3)] * 3, [[0, 1, 2]], [1, 2, 1])
+    assert system.cycles is None
+    assert not system.koopman.is_permutation()
+    with pytest.raises(ValueError):
+        system.koopman.cycles()
+
+
+def test_a_construction_walks_the_atom_map_once(monkeypatch):
+    walk = system_module._cycle_decomposition
+    walks = []
+
+    def counted(sigma):
+        walks.append(sigma)
+        return walk(sigma)
+
+    monkeypatch.setattr(system_module, "_cycle_decomposition", counted)
+    system = E.random_system(9, 3, seed=4)
+    assert system.is_valid and system.split_cycle is not None
+    assert walks == [system.koopman.sigma]
+
+
 # --- validation --------------------------------------------------------------------
 
 def test_trivial_partition_any_permutation_is_valid():
@@ -90,6 +129,32 @@ def test_cycle_varying_weights_fail():
     system = E.CepsSystem.from_parts([F(1, 3), F(2, 3)], [[0, 1]], [1, 0])
     assert not system.is_valid
     assert not system.report.check("weights-cycle-constant").passed
+
+
+def validation_bundles():
+    """Hand-built bundles, every small-universe system, and every atom map
+    on up to three atoms over every partition, under uniform and graded weights."""
+    yield E.CepsSystem.from_parts([F(1, 2), F(1, 2)], [[0, 1]], [0, 0])
+    yield block_crossing_system()
+    yield E.CepsSystem.from_parts([F(1, 3), F(2, 3)], [[0, 1]], [1, 0])
+    yield from every_valid_system()
+    for n in range(1, 4):
+        graded = [F(2 * (i + 1), n * (n + 1)) for i in range(n)]
+        for partition in set_partitions(list(range(n))):
+            for weights in ([F(1, n)] * n, graded):
+                exp = E.ConditionalExpectation(weights, partition)
+                for sigma in product(range(n), repeat=n):
+                    yield E.CepsSystem(exp, E.KoopmanMap(sigma))
+
+
+def test_every_reported_validation_check_can_fail():
+    """A check that no bundle fails says nothing: each name reported must fail somewhere."""
+    reported, failed = set(), set()
+    for system in validation_bundles():
+        reported.update(c.name for c in system.report.checks)
+        failed.update(c.name for c in system.report.failures)
+    assert reported == failed == {"basis-preservation", "permutation", "blocks-invariant",
+                                  "weights-cycle-constant"}
 
 
 def test_dimension_mismatch_between_operators():
@@ -178,10 +243,37 @@ def test_range_fixed_trivial_partition():
     assert E.check_range_fixed(system).passed
 
 
+def check_component_projection(expectation, trials=100, seed=0):
+    """Literal law: whenever the average of a 0/1 vector is again a 0/1 vector, it is that vector.
+
+    Sampled over random components plus the forced edge cases (empty, full,
+    and every block indicator).  The hypothesis is often vacuous for
+    components cutting strictly through a block; the note records how many
+    samples actually engaged it.
+    """
+    n = expectation.n
+    rng = random.Random(seed)
+    pool = [E.Component([0] * n), E.unit(n)]
+    pool.extend(expectation.block_indicator(bi) for bi in range(len(expectation.blocks)))
+    for _ in range(trials):
+        pool.append(E.Component([rng.randint(0, 1) for _ in range(n)]))
+    engaged = 0
+    witness = None
+    for p in pool:
+        image = expectation.apply(p)
+        if E.is_component(image):
+            engaged += 1
+            if image != p:
+                witness = p
+                break
+    return E.CheckReport((E.Check("component-projection", witness is None, witness,
+                                  note=f"{engaged} of {len(pool)} sampled components had 0/1 averages"),))
+
+
 @given(systems(), st.integers(0, 10**6))
 @settings(max_examples=50)
 def test_component_projection_law(system, seed):
-    assert E.check_component_projection(system.expectation, trials=50, seed=seed).passed
+    assert check_component_projection(system.expectation, trials=50, seed=seed).passed
 
 
 def test_component_projection_engages_on_full_blocks():
