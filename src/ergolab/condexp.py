@@ -140,7 +140,8 @@ class ConditionalExpectation:
         Exposed as a power so the value stays rational; two vectors have equal
         q-norms iff these powers agree.
         """
-        if not isinstance(q, int) or q < 1:
+        # bool is an int subclass, but True is no exponent
+        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
             raise ValueError("q must be a positive integer (use norm_inf for the sup version)")
         return self.apply(abs(x).power(q))
 

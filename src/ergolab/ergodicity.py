@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
 from operator import add
 from typing import Optional, Sequence
 
@@ -50,6 +51,11 @@ CRITERIA = (
 
 # --- Cesàro means and exact time averages -----------------------------------
 
+def _is_index(n) -> bool:
+    """A positive int; a bool is an int subclass, but True is no index."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
 def cesaro_sweep(sigma: Sequence[int], values: Sequence, grid: Sequence[int]):
     """Cesàro means of ``values`` under the atom map ``sigma`` along an ascending grid.
 
@@ -79,7 +85,7 @@ def cesaro_mean(system: CepsSystem, f: RieszVector, n: int) -> RieszVector:
 
     Reads only the atom map, so it runs on unvalidated systems too.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_index(n):
         raise ValueError("the Cesàro index n must be a positive integer")
     [(_, mean)] = cesaro_sweep(system.koopman.sigma, f.entries, [n])
     return _wrap(RieszVector, tuple(mean))
@@ -110,9 +116,10 @@ class CesaroTrace:
 def cesaro_trace(system: CepsSystem, f: RieszVector, ns: Sequence[int]) -> CesaroTrace:
     """One sweep through max(ns) iterates, snapshotting each index."""
     system.require_valid()
-    grid = sorted(set(int(n) for n in ns))
-    if not grid or grid[0] < 1:
+    ns = tuple(ns)
+    if not ns or not all(map(_is_index, ns)):
         raise ValueError("the index grid must consist of positive integers")
+    grid = sorted(set(ns))
     limit = birkhoff_limit(system, f)
     values = tuple((n, _wrap(RieszVector, tuple(mean)))
                    for n, mean in cesaro_sweep(system.koopman.sigma, f.entries, grid))
@@ -202,11 +209,19 @@ def _first_failure(n: int, failures) -> Optional[Component]:
 
 # The component scans test the correlation identity on indicators.  It reads
 # a component only through its count of atoms on each cycle, so the scans
-# walk the lex-ordered components by cycle-count class and evaluate the
-# identity once per unordered pair of classes.  The memo's classes are
-# defined at module level and no row refers back to the table of rows: a
-# class or closure made per call, or such a back reference, puts each scan's
-# memo in a reference cycle that lives until a full garbage collection.
+# walk the cycle-count classes, each stood in for by its lex-first component,
+# in the lex order of those components.
+
+
+def _pair_identity(system: CepsSystem):
+    """The cleared correlation identity of ``_pair_holds``: ``(lcm, blocks)``."""
+    exp, cycles = system.expectation, system.cycles
+    wts = exp.cleared_weights
+    lcm = math.lcm(*map(len, cycles))
+    terms: list[list[tuple[int, int, int]]] = [[] for _ in exp.blocks]
+    for ci, c in enumerate(cycles):
+        terms[exp.block_of[c[0]]].append((ci, wts[c[0]], wts[c[0]] * (lcm // len(c))))
+    return lcm, tuple((sum(wts[i] for i in b), tuple(t)) for b, t in zip(exp.blocks, terms))
 
 
 def _pair_holds(identity, counts_p: tuple[int, ...], counts_q: tuple[int, ...]) -> bool:
@@ -239,69 +254,22 @@ def _pair_holds(identity, counts_p: tuple[int, ...], counts_q: tuple[int, ...]) 
     return True
 
 
-class _ClassRow(dict):
-    """Pair-identity verdicts of one cycle-count class against others, by class id.
+def _lex_classes(system: CepsSystem) -> list[tuple[int, tuple[int, ...]]]:
+    """Every cycle-count class as ``(mask, counts)``, sorted by mask.
 
-    A lookup of a class not seen yet takes the verdict from ``shared``, the
-    verdicts of all rows by unordered class pair, or evaluates the identity
-    (symmetric in the pair) and records it there, so each unordered pair of
-    classes is evaluated once.
+    ``counts`` holds the class's atom count on each cycle and ``mask`` its
+    lex-first component, as a lex index: atom 0 is the most significant bit,
+    so that component takes the highest-numbered atoms of each cycle.
     """
-
-    def __init__(self, identity, counts, shared: dict, p_class: int):
-        super().__init__()
-        self.identity, self.counts, self.shared, self.p_class = identity, counts, shared, p_class
-
-    def __missing__(self, q_class: int) -> bool:
-        p_class = self.p_class
-        pair = (p_class, q_class) if p_class < q_class else (q_class, p_class)
-        ok = self.shared.get(pair)
-        if ok is None:
-            ok = self.shared[pair] = _pair_holds(self.identity, self.counts[p_class],
-                                                 self.counts[q_class])
-        self[q_class] = ok
-        return ok
-
-
-class _CountClasses(dict):
-    """The cycle-count classes of one system's components, with their pair rows.
-
-    ``walk()`` yields the class id of each lex-ordered component, in order,
-    numbering classes as they first appear, and ``self[p][q]`` says whether
-    the correlation identity holds between components of classes p and q;
-    each row is made on first lookup.  Built once per scan.
-    """
-
-    def __init__(self, system: CepsSystem):
-        super().__init__()
-        exp, cycles, n = system.expectation, system.cycles, system.n
-        wts = exp.cleared_weights
-        lcm = math.lcm(*map(len, cycles))
-        terms: list[list[tuple[int, int, int]]] = [[] for _ in exp.blocks]
-        for ci, c in enumerate(cycles):
-            terms[exp.block_of[c[0]]].append((ci, wts[c[0]], wts[c[0]] * (lcm // len(c))))
-        self.identity = (lcm, tuple((sum(wts[i] for i in b), tuple(t))
-                                    for b, t in zip(exp.blocks, terms)))
-        self.n = n
-        # each cycle's atoms as bits of a lex index, where bit n-1-i is atom i
-        self.cycle_bits = [sum(1 << (n - 1 - i) for i in c) for c in cycles]
-        self.counts: list[tuple[int, ...]] = []  # the per-cycle counts of each class
-        self.shared: dict[tuple[int, int], bool] = {}
-
-    def walk(self):
-        ids: dict[tuple[int, ...], int] = {}
-        cycle_bits, counts = self.cycle_bits, self.counts
-        for k in range(1 << self.n):
-            key = tuple([(k & bits).bit_count() for bits in cycle_bits])
-            class_id = ids.get(key)
-            if class_id is None:
-                class_id = ids[key] = len(counts)
-                counts.append(key)
-            yield class_id
-
-    def __missing__(self, p_class: int) -> _ClassRow:
-        row = self[p_class] = _ClassRow(self.identity, self.counts, self.shared, p_class)
-        return row
+    n = system.n
+    firsts = []  # per cycle, the mask of its k highest-numbered atoms, by k
+    for c in system.cycles:
+        masks = [0]
+        for i in sorted(c, reverse=True):
+            masks.append(masks[-1] | 1 << (n - 1 - i))
+        firsts.append(masks)
+    return sorted((sum(map(list.__getitem__, firsts, counts)), counts)
+                  for counts in product(*(range(len(c) + 1) for c in system.cycles)))
 
 
 # --- The decision procedures ---------------------------------------------------
@@ -442,11 +410,16 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
       before C are whole blocks, so (1_C, 1_C) is the first to fail.
 
     When every block is one cycle all of these hold, on every pair.  The
-    exhaustive routes scan every component (pair) under the cap, evaluating
-    the identity once per unordered pair of cycle-count classes.
-    ``full_report`` records the bounded-pairs verdict under
-    "corr-ideal-pairs" too (the two quantifiers coincide in finite
-    dimensions); asked for by name, "corr-ideal-pairs" runs on its own.
+    exhaustive routes discharge the quantifier over every component (pair)
+    under the cap, which still counts masks.  The identity reads a component
+    only through its atom count on each cycle, so they walk the cycle-count
+    classes in the lex order of each class's first component and test each
+    unordered pair of classes once, or each class against itself on the
+    diagonal; the witness is the failing classes' first components, the
+    lex-first failing pair of the literal mask walk.  ``full_report``
+    records the bounded-pairs verdict under "corr-ideal-pairs" too (the two
+    quantifiers coincide in finite dimensions); asked for by name,
+    "corr-ideal-pairs" runs on its own.
     """
     system.require_valid()
     if variant not in CORRELATION_VARIANTS:
@@ -460,15 +433,14 @@ def decide_correlation(system: CepsSystem, variant: str, exhaustive: bool = Fals
             caps.guard("exhaustive component-pair scan", 2 * n, cap)
         else:
             caps.guard("exhaustive component scan", n, cap)
-        rows = _CountClasses(system)
-        classes = list(rows.walk()) if pairs else rows.walk()
-        for pi, cp in enumerate(classes):
-            row = rows[cp]
-            # the cleared identity is symmetric in (p, q); the diagonal takes q = p
-            later = classes[pi:] if pairs else (cp,)
-            if not all(map(row.__getitem__, later)):
-                qi = pi + [row[cq] for cq in later].index(False)
-                return False, (_lex_component(n, pi), _lex_component(n, qi))
+        identity, classes = _pair_identity(system), _lex_classes(system)
+        # each class before row a has passed against every class, and the
+        # identity is symmetric, so row a tests only the classes from a on;
+        # the diagonal takes q = p
+        for a, (p_mask, p) in enumerate(classes):
+            for q_mask, q in islice(classes, a, None) if pairs else ((p_mask, p),):
+                if not _pair_holds(identity, p, q):
+                    return False, (_lex_component(n, p_mask), _lex_component(n, q_mask))
         return True, None
 
     return _fast_verdict(system, whole_cycle=components, paired=True)
@@ -504,7 +476,7 @@ def check_isometry(system: CepsSystem, x: RieszVector, q) -> bool:
     if q == math.inf:
         return all(max([cleared[sigma[i]] for i in b]) == max([cleared[i] for i in b])
                    for b in exp.blocks)
-    if not isinstance(q, int) or q < 1:
+    if not _is_index(q):
         raise ValueError("q must be a positive integer or math.inf")
     powers = [c ** q for c in cleared]
     w = exp.cleared_weights

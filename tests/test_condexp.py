@@ -201,6 +201,13 @@ def test_norm_power_rejects_bad_exponent():
         op.norm_power(rv(1), 0)
 
 
+def test_norm_power_refuses_a_bool():
+    """True is an int subclass but no exponent: refused, not read as 1."""
+    op = E.ConditionalExpectation([1], [[0]])
+    with pytest.raises(ValueError):
+        op.norm_power(rv(1), True)
+
+
 def test_norm_root_float_is_display_only_view():
     op = E.ConditionalExpectation([F(1, 2), F(1, 2)], [[0, 1]])
     roots = op.norm_root_float(rv(1, -3), 2)

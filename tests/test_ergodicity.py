@@ -485,6 +485,20 @@ def test_isometry_rejects_bad_exponent():
         E.check_isometry(three_cycle(), rv(1, 2, 3), F(3, 2))
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "3", F(2)])
+def test_indices_and_exponents_refuse_what_is_not_an_int(bad):
+    """A bool is an int subclass and ``int()`` truncates or parses, but
+    neither is an index or an exponent: each is refused, not coerced."""
+    system, f = three_cycle(), rv(1, 2, 3)
+    with pytest.raises(ValueError):
+        E.cesaro_mean(system, f, bad)
+    with pytest.raises(ValueError):
+        E.cesaro_trace(system, f, [1, bad])
+    with pytest.raises(ValueError):
+        E.check_isometry(system, f, bad)
+    assert E.check_isometry(system, f, math.inf)
+
+
 # --- the aggregate report ------------------------------------------------------------------
 
 @given(systems())

@@ -3,13 +3,15 @@
 The digest pins every verdict and the lex-first order of every witness on a
 fixed seeded corpus, so any change to either fails loudly.  The reach tests
 run the bit-sliced scans at the default cap, check that the cap refuses a
-scan before any truth table exists, bound the memory a scan holds, and count
-the identity evaluations of the component-pair scan.
+scan before any truth table exists, bound the memory a scan holds, count
+the identity evaluations of the component-pair scan, and run the component
+scans at caps no walk of the masks could meet.
 """
 
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -110,6 +112,29 @@ def test_the_pair_scan_evaluates_each_unordered_class_pair_once(monkeypatch):
     classes = math.prod(len(c) + 1 for c in system.cycles)
     assert len(set(calls)) == classes * (classes + 1) // 2
     assert len(calls) == len(set(calls)) == 5886
+
+
+@pytest.mark.parametrize("n, blocks, split", [(24, 3, False), (20, 2, True)])
+def test_the_component_scans_reach_past_the_mask_walk(n, blocks, split):
+    """At cap 2n both scans run where a walk of the 2**(2n-1) mask pairs
+    could not: the classes number prod(|C| + 1), 729 at n=24 with three
+    8-cycles, and each unordered pair of them is tested once."""
+    system = one_cycle_per_block(n, blocks, seed=5, split=split)
+    start = time.perf_counter()
+    ok, pair = E.decide_correlation(system, "corr-component-pairs", exhaustive=True, cap=2 * n)
+    diagonal_ok, diagonal = E.decide_correlation(system, "corr-diagonal-components",
+                                                 exhaustive=True, cap=2 * n)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"both scans took {elapsed:.2f}s, target < 5s"
+    assert ok == diagonal_ok == E.decide_correlation(system, "corr-component-pairs")[0]
+    assert ok is not split
+    if split:
+        p, _ = diagonal
+        assert pair == diagonal == (p, p)
+        average = system.expectation.apply(p)
+        assert E.correlation_limit(system, p, p) != average * average
+    else:
+        assert pair is diagonal is None
 
 
 def cauchy_schwarz_corpus():

@@ -16,6 +16,9 @@ exhaustive routes, which evaluate the criteria on every mask at once
 integers (the component scans), must return the same verdict and witness.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -260,8 +263,8 @@ def literal_cleared_scan(system, diagonal=False):
     """Every component pair p <= q in lex order, or p = q on the diagonal,
     tested one pair at a time by the route's cleared-integer identity.  The
     per-cycle atom counts come from a bit loop over each mask, and nothing is
-    grouped into classes or memoized, so this certifies the class walk, its
-    numbering, the shared memo and the witness indices; the identity itself is
+    grouped into classes, so this certifies the class enumeration, its
+    first-component order and the witness masks; the identity itself is
     certified by ``literal_rational_scan``."""
     n, cycles = system.n, system.cycles
     cycle_of = [0] * n
@@ -277,7 +280,7 @@ def literal_cleared_scan(system, diagonal=False):
             count[cycle_of[low.bit_length() - 1]] += 1
             m ^= low
         counts.append(tuple(count))
-    identity = ergodicity._CountClasses(system).identity
+    identity = ergodicity._pair_identity(system)
     for pi, p_counts in enumerate(counts):
         for qi in (pi,) if diagonal else range(pi, len(masks)):
             if not ergodicity._pair_holds(identity, p_counts, counts[qi]):
@@ -376,6 +379,73 @@ def test_correlation_scans_match_the_rational_scan_on_one_cycle_per_block(split)
         system = one_cycle_per_block(n, 1 + n % 2, seed=n, split=split)
         assert E.decide_definition(system)[0] is not split
         assert_scans_match_rational(system)
+
+
+def from_cycles(blocks, seed):
+    """A valid system from its blocks, each given as its list of cycles,
+    with a seeded mass constant on each block."""
+    rng = random.Random(seed)
+    n = sum(len(c) for cycles in blocks for c in cycles)
+    sigma, masses = [0] * n, [0] * n
+    for cycles in blocks:
+        mass = rng.randint(1, 9)
+        for cycle in cycles:
+            for k, i in enumerate(cycle):
+                sigma[i] = cycle[(k + 1) % len(cycle)]
+                masses[i] = mass
+    partition = [[i for c in cycles for i in c] for cycles in blocks]
+    return E.CepsSystem.from_parts([Fraction(m, sum(masses)) for m in masses], partition, sigma)
+
+
+def class_order_corpus():
+    """Systems at the extremes of class order against mask order, up to
+    ten atoms.
+
+    - sigma the identity, where every class is one mask: every block a
+      singleton (ergodic, so the pair scan walks every pair), one block of
+      fixed points, and three blocks of fixed points;
+    - one block holding many 2-cycles, where classes merge many masks,
+      alone or as the block of atom 0 ahead of a block that is one cycle;
+    - one cycle per block except one block split in two: the block of the
+      highest atoms, or the block of atom 0, where the failure comes after
+      every mask of the other blocks in lex order.
+    """
+    for n in range(1, 11):
+        atoms = list(range(n))
+        yield from_cycles([[[i]] for i in atoms], n)
+        yield from_cycles([[[i] for i in atoms]], n)
+        edges = [round(k * n / 3) for k in range(4)]
+        yield from_cycles([[[i] for i in atoms[a:b]] for a, b in zip(edges, edges[1:]) if a < b], n)
+    for n in (2, 4, 6, 8, 10):
+        for head in (n, n // 2 + n // 2 % 2):  # an even number of atoms in 2-cycles
+            rng = random.Random(n + head)
+            paired = rng.sample(range(head), head)
+            blocks = [[paired[k:k + 2] for k in range(0, head, 2)]]
+            if head < n:
+                rest = list(range(head, n))
+                rng.shuffle(rest)
+                blocks.append([rest])
+            yield from_cycles(blocks, n)
+    for n in range(5, 11):
+        for split_first in (False, True):
+            rng = random.Random(10 * n + split_first)
+            edges = [round(k * n / 3) for k in range(4)]
+            blocks = [[rng.sample(range(a, b), b - a)] for a, b in zip(edges, edges[1:])]
+            target = 0 if split_first else -1
+            [block] = blocks[target]
+            cut = rng.randint(1, len(block) - 1)
+            blocks[target] = [block[:cut], block[cut:]]
+            yield from_cycles(blocks, n)
+
+
+def test_correlation_scans_match_the_literal_scans_where_class_order_differs():
+    verdicts = set()
+    for system in class_order_corpus():
+        assert_scans_match_literal(system, tuple(RATIONAL_SCANS))
+        if system.n <= 6:
+            assert_scans_match_rational(system)
+        verdicts.add(E.decide_definition(system)[0])
+    assert verdicts == {True, False}
 
 
 def assert_tables_match(n, masks):
